@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   report.config("scan_keys", static_cast<double>(scan_keys));
 
   const char* kinds[] = {"put", "incr", "cas", "append"};
-  for (const std::string shape : {std::string("ring"), std::string("torus3d")}) {
+  for (const std::string& shape : {std::string("ring"), std::string("torus3d")}) {
     const std::string topo = shape == "torus3d" ? "torus3d-2x2x2" : "ring-4";
     std::printf("\n[%s] matched load: %d workers x %d ops per kind\n",
                 topo.c_str(), kWorkers, iters);

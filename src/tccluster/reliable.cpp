@@ -1,7 +1,6 @@
 #include "tccluster/reliable.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/log.hpp"
 #include "opteron/timing.hpp"
@@ -33,8 +32,6 @@ struct RelMetrics {
       "tccluster.rel.backpressure_stalls");
   telemetry::Counter& epoch_bumps = telemetry::MetricsRegistry::global().counter(
       "tccluster.rel.epoch_bumps");
-  telemetry::Counter& flushed =
-      telemetry::MetricsRegistry::global().counter("tccluster.rel.flushed");
   // Batched cumulative-ACK publication.
   telemetry::Counter& ack_batch_published = telemetry::MetricsRegistry::global().counter(
       "tccluster.rel.ack_batch.published");
@@ -57,14 +54,6 @@ RelMetrics& rel_metrics() {
 
 void register_reliable_metrics() { TCC_METRIC((void)rel_metrics()); }
 
-const char* to_string(DeliveryPolicy p) {
-  switch (p) {
-    case DeliveryPolicy::kReplay: return "replay";
-    case DeliveryPolicy::kFlush: return "flush";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Epoch control word: low 32 bits epoch, bit 32 "sync in progress".
@@ -77,7 +66,7 @@ constexpr std::uint64_t kSyncFlag = std::uint64_t{1} << 32;
 //
 //   bit  31     : kTagRelFlag — identifies a rel frame
 //   bits 25..29 : sender's seq_bits (config cross-check, 1..16)
-//   bit  24     : MsgKind (0 data, 1 gap mark)
+//   bit  24     : reserved (0)
 //   bits 16..23 : sender epoch, low 8 bits (full epoch is in the control
 //                 word; 8 bits are ample to reject stale in-flight frames —
 //                 the ring is reset on every bump, so live frames can only
@@ -86,7 +75,6 @@ constexpr std::uint64_t kSyncFlag = std::uint64_t{1} << 32;
 constexpr std::uint32_t kTagRelFlag = 1u << 31;
 constexpr std::uint32_t kTagBitsShift = 25;
 constexpr std::uint32_t kTagBitsMask = 0x1f;
-constexpr std::uint32_t kTagKindBit = 1u << 24;
 constexpr std::uint32_t kTagEpochShift = 16;
 constexpr std::uint32_t kTagEpochMask = 0xff;
 constexpr std::uint32_t kTagSeqMask = 0xffff;
@@ -122,10 +110,9 @@ ReliableEndpoint::~ReliableEndpoint() {
   (void)core_.engine().cancel(ack_timer_);
 }
 
-std::uint32_t ReliableEndpoint::make_tag(std::uint64_t seq, MsgKind kind) const {
+std::uint32_t ReliableEndpoint::make_tag(std::uint64_t seq) const {
   return kTagRelFlag |
          (static_cast<std::uint32_t>(cfg_.seq_bits) << kTagBitsShift) |
-         (kind == MsgKind::kGapMark ? kTagKindBit : 0u) |
          (static_cast<std::uint32_t>(local_epoch_ & kTagEpochMask)
           << kTagEpochShift) |
          static_cast<std::uint32_t>(seq & seq_mask() & kTagSeqMask);
@@ -139,7 +126,7 @@ void ReliableEndpoint::record(RelEvent::Kind kind, std::uint64_t a, std::uint64_
   events_.push_back(RelEvent{kind, core_.engine().now(), a, b});
 }
 
-sim::Task<bool> ReliableEndpoint::transmit(std::uint64_t seq, MsgKind kind,
+sim::Task<bool> ReliableEndpoint::transmit(std::uint64_t seq,
                                            std::span<const std::uint8_t> payload) {
   // Caller holds tx_mutex_. Piggyback the cumulative delivered-count ACK on
   // the same posted path as the data: the raw send ends in an sfence, so the
@@ -154,14 +141,14 @@ sim::Task<bool> ReliableEndpoint::transmit(std::uint64_t seq, MsgKind kind,
     Status s = co_await core_.store_u64(ack_out_, ack);
     if (s.ok()) acked_out_ = ack;
   }
-  // The header (seq/epoch/kind) travels in the marker tag, not in payload
+  // The header (seq/epoch) travels in the marker tag, not in payload
   // bytes. Bounded raw op: a wedged ring (peer dead, no credits) must not
   // pin the mutex forever. A refused transmit is fine — the message stays
   // in the retransmit buffer; drain_unsent() retries and, if ACKs truly
   // stalled, the epoch sync replays it.
   const Picoseconds give_up = core_.engine().now() + cfg_.raw_slice;
   Status s = co_await raw_.send(payload, OrderingMode::kWeaklyOrdered, give_up,
-                                make_tag(seq, kind));
+                                make_tag(seq));
   co_return s.ok();
 }
 
@@ -182,7 +169,7 @@ sim::Task<bool> ReliableEndpoint::transmit_group(const std::vector<Pending>& run
   std::vector<MsgEndpoint::PackedItem> items;
   items.reserve(run.size());
   for (const Pending& p : run) {
-    items.push_back(MsgEndpoint::PackedItem{p.payload, make_tag(p.seq, MsgKind::kData)});
+    items.push_back(MsgEndpoint::PackedItem{p.payload, make_tag(p.seq)});
   }
   const Picoseconds give_up = core_.engine().now() + cfg_.raw_slice;
   Status s = co_await raw_.send_packed(items, OrderingMode::kWeaklyOrdered, give_up);
@@ -195,8 +182,8 @@ sim::Task<bool> ReliableEndpoint::transmit_group(const std::vector<Pending>& run
 
 sim::Task<void> ReliableEndpoint::drain_unsent() {
   while (!sync_pending_ && next_unsent_seq_ < next_send_seq_) {
-    // Locate the pending entry (it may have vanished: kFlush clears, a
-    // forced ACK refresh pops). The deque can shift while transmit()
+    // Locate the pending entry (it may have vanished: a forced ACK refresh
+    // pops it). The deque can shift while transmit()
     // suspends, so work from copies and re-derive state each round.
     std::size_t idx = 0;
     for (; idx < buffer_.size(); ++idx) {
@@ -236,7 +223,7 @@ sim::Task<void> ReliableEndpoint::drain_unsent() {
     }
     const std::uint64_t seq = buffer_[idx].seq;
     const std::vector<std::uint8_t> payload = buffer_[idx].payload;
-    if (!co_await transmit(seq, MsgKind::kData, payload)) break;
+    if (!co_await transmit(seq, payload)) break;
     next_unsent_seq_ = std::max(next_unsent_seq_, seq + 1);
   }
 }
@@ -264,7 +251,7 @@ sim::Task<Status> ReliableEndpoint::send(std::span<const std::uint8_t> payload,
         // tx state is stale until the peer adopts); otherwise buffer-only —
         // the wait loop below / replay carries it.
         if (!sync_pending_ && seq == next_unsent_seq_ &&
-            co_await transmit(seq, MsgKind::kData, payload)) {
+            co_await transmit(seq, payload)) {
           next_unsent_seq_ = std::max(next_unsent_seq_, seq + 1);
         }
       }
@@ -280,7 +267,7 @@ sim::Task<Status> ReliableEndpoint::send(std::span<const std::uint8_t> payload,
     // cadence the recovery machinery relies on is unchanged.
     co_await progress();
     if (accepted) {
-      // Acceptance guarantees delivery (kReplay), but do not return while
+      // Acceptance guarantees delivery (replay), but do not return while
       // the message has never been handed to the ring: the sending
       // coroutine is often the only process driving recovery, and an
       // untransmitted message with nobody pushing it would strand the
@@ -355,16 +342,6 @@ sim::Task<Result<std::vector<std::uint8_t>>> ReliableEndpoint::recv(
               // storm around a sync) never refreshes its ACK and the sender
               // waits out its full ack_delay/stall clock.
               co_await note_suppressed();
-            } else if ((tag & kTagKindBit) != 0) {
-              // kGapMark (kFlush sync): the peer discarded its buffer; the
-              // payload is its (u64) next send seq — skip the flushed range.
-              if (payload.size() >= 8) {
-                std::uint64_t next_seq = 0;
-                std::memcpy(&next_seq, payload.data(), sizeof next_seq);
-                if (next_seq >= 1) delivered_ = std::max(delivered_, next_seq - 1);
-              }
-              gap_streak_ = 0;
-              co_await publish_ack();
             } else {
               const std::uint64_t mask = seq_mask();
               const std::uint64_t expected = (delivered_ + 1) & mask;
@@ -474,7 +451,7 @@ sim::Task<void> ReliableEndpoint::refresh_acks() {
       ++stats_.acked;
       TCC_METRIC(rel_metrics().acked.inc());
     }
-    // An acked seq was by definition transmitted (or covered by a gap mark).
+    // An acked seq was by definition transmitted.
     next_unsent_seq_ = std::max(next_unsent_seq_, peer_delivered_ + 1);
   }
 }
@@ -643,23 +620,7 @@ sim::Task<void> ReliableEndpoint::complete_sync() {
 sim::Task<void> ReliableEndpoint::replay_unacked() {
   // Caller holds tx_mutex_; the epoch handshake just completed, so both raw
   // ring directions are fresh.
-  if (cfg_.policy == DeliveryPolicy::kFlush) {
-    if (!buffer_.empty()) {
-      stats_.flushed += buffer_.size();
-      TCC_METRIC(rel_metrics().flushed.inc(buffer_.size()));
-      buffer_.clear();
-    }
-    next_unsent_seq_ = next_send_seq_;
-    // Tell the receiver where the stream resumes (u64 payload), even when
-    // nothing was flushed — its cursor may predate the blackout.
-    std::uint8_t next[8];
-    const std::uint64_t next_seq = next_send_seq_;
-    std::memcpy(next, &next_seq, sizeof next);
-    (void)co_await transmit(0, MsgKind::kGapMark, next);
-    last_tx_progress_ = core_.engine().now();
-    co_return;
-  }
-  // kReplay: everything unacked goes out again, in seq order, via the
+  // Everything unacked goes out again, in seq order, via the
   // drain path (a full-size message can exceed the fresh ring's credits in
   // one go; the drain stops at the first refusal and progress() resumes it).
   for (Pending& p : buffer_) {

@@ -9,8 +9,8 @@
 // prescribes (hardware link retry below, software sequencing above):
 //
 //  * every message carries a per-(peer, channel) sequence number, the
-//    sender's current membership epoch and the frame kind packed into the
-//    raw slot marker's high-half tag (MsgSlot) — the receive path already
+//    sender's current membership epoch packed into the raw slot marker's
+//    high-half tag (MsgSlot) — the receive path already
 //    loads that word, so the reliability header costs zero extra
 //    uncacheable reads and zero payload bytes,
 //  * the receiver publishes a cumulative delivered-count ACK into the ring
@@ -22,8 +22,8 @@
 //    (once its deadline passes) instead of ever overwriting unacked slots,
 //  * loss is detected as ACK stall against the simulated clock and healed by
 //    an epoch bump: both sides reset the raw rings, then the sender replays
-//    the retransmit buffer (kReplay, default) or discards it and publishes a
-//    gap marker (kFlush). Stale-epoch packets are discarded on receipt.
+//    the retransmit buffer in order. Stale-epoch packets are discarded on
+//    receipt.
 //
 // The epoch handshake doubles as the rejoin protocol: when the TcDriver
 // keepalive resurrects a dead peer (or the ACK stall detector fires during
@@ -49,15 +49,6 @@ namespace tcc::cluster {
 /// TcDriver::load() so the names exist for the docs-catalogue test even in
 /// runs that never touch the reliability layer. No-op without telemetry.
 void register_reliable_metrics();
-
-/// What happens to the retransmit buffer when an epoch sync completes.
-enum class DeliveryPolicy {
-  kReplay,  ///< replay every unacked message in order (exactly-once survives)
-  kFlush,   ///< discard the buffer, publish a gap marker (bounded catch-up;
-            ///< the flushed messages are lost BY POLICY and counted)
-};
-
-[[nodiscard]] const char* to_string(DeliveryPolicy p);
 
 /// Tuning knobs of one ReliableLibrary (shared by its endpoints).
 struct RelConfig {
@@ -124,7 +115,6 @@ struct RelConfig {
   /// Consecutive out-of-order (future-seq) receptions before the receive
   /// side concludes it missed a sync and initiates one itself.
   int gap_sync_threshold = 64;
-  DeliveryPolicy policy = DeliveryPolicy::kReplay;
   /// Cap on the per-endpoint diagnostics event log (trace export).
   std::size_t max_events = 4096;
 };
@@ -140,7 +130,6 @@ struct RelStats {
   std::uint64_t gap_drops = 0;           ///< future-seq packets dropped awaiting replay
   std::uint64_t backpressure_stalls = 0; ///< send() returns of kBackpressure
   std::uint64_t epoch_bumps = 0;         ///< syncs this endpoint participated in
-  std::uint64_t flushed = 0;             ///< messages dropped by DeliveryPolicy::kFlush
   std::uint64_t acks_pushed = 0;         ///< standalone ACK word publishes
   std::uint64_t ack_deferrals = 0;       ///< threshold publishes deferred mid-burst
   std::uint64_t groups_sent = 0;         ///< packed line-groups handed to the ring
@@ -179,8 +168,8 @@ class ReliableEndpoint {
   /// with a `deadline` (absolute simulated time) a still-full window past
   /// it returns typed kBackpressure and the message is NOT accepted.
   /// Once send() returns OK the message is accepted: it stays in the
-  /// retransmit buffer and will be delivered exactly once (under kReplay)
-  /// however many faults intervene.
+  /// retransmit buffer and will be delivered exactly once (epoch syncs
+  /// replay it) however many faults intervene.
   [[nodiscard]] sim::Task<Status> send(std::span<const std::uint8_t> payload,
                                        std::optional<Picoseconds> deadline = std::nullopt);
 
@@ -232,21 +221,19 @@ class ReliableEndpoint {
     std::uint64_t retransmits = 0;
   };
 
-  enum class MsgKind : std::uint8_t { kData = 0, kGapMark = 1 };
-
   [[nodiscard]] std::uint64_t seq_mask() const {
     return (std::uint64_t{1} << cfg_.seq_bits) - 1;
   }
 
-  /// Pack seq/epoch/kind/seq_bits into the raw marker tag (layout in
+  /// Pack seq/epoch/seq_bits into the raw marker tag (layout in
   /// reliable.cpp).
-  [[nodiscard]] std::uint32_t make_tag(std::uint64_t seq, MsgKind kind) const;
+  [[nodiscard]] std::uint32_t make_tag(std::uint64_t seq) const;
 
   /// Raw-send one message with the rel tag; caller holds the tx mutex.
   /// Returns false when the raw layer would not take it (ring full / link
   /// dead within the raw_slice) — the message stays buffered and
   /// drain_unsent() re-attempts it as credits return.
-  [[nodiscard]] sim::Task<bool> transmit(std::uint64_t seq, MsgKind kind,
+  [[nodiscard]] sim::Task<bool> transmit(std::uint64_t seq,
                                          std::span<const std::uint8_t> payload);
 
   /// Raw-send a run of consecutive buffered messages as ONE packed

@@ -43,13 +43,11 @@
 
 namespace tcc::tcstore {
 
+/// Mailbox service tuning. The client's deadlines, retry backoff and channel
+/// are KvConfig's defaults (tcsvc::ShardClient).
 struct MailboxConfig {
-  Picoseconds op_deadline = Picoseconds::from_us(500.0);
-  Picoseconds attempt_deadline = Picoseconds::from_us(60.0);
   /// Modeled CPU service time of one delivery (lookup + handler dispatch).
   Picoseconds deliver_compute = Picoseconds::from_ns(200.0);
-  Picoseconds retry_backoff = Picoseconds::from_us(2.0);
-  std::uint8_t channel = 0;
 };
 
 struct MailboxStats {
@@ -102,19 +100,17 @@ class MailboxService {
   MailboxStats stats_;
 };
 
-struct MailboxClientStats {
+struct MailboxClientStats : tcsvc::RouteStats {
   std::uint64_t sends = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failover_routes = 0;
 };
 
-/// Sending side: resolves a name's home through the committed map per
-/// attempt, serializes sends per name (FIFO per sender->mailbox pair), and
-/// retries availability trouble against the shard's other copy.
-class MailboxClient {
+/// Sending side: serializes sends per name (FIFO per sender->mailbox pair)
+/// and sends through tcsvc::ShardClient, which resolves the name's home per
+/// attempt and retries availability trouble against the shard's other copy.
+class MailboxClient : public tcsvc::ShardClient {
  public:
   MailboxClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
-                tcsvc::ShardMap map, MailboxConfig cfg = {});
+                tcsvc::ShardMap map);
 
   /// Deliver `payload` to mailbox `name`, wherever it currently lives.
   /// kNotFound = dead mailbox (typed, final); ok = delivered exactly once.
@@ -123,10 +119,6 @@ class MailboxClient {
       std::optional<Picoseconds> deadline = std::nullopt);
 
   [[nodiscard]] const MailboxClientStats& stats() const { return stats_; }
-  [[nodiscard]] const tcsvc::ShardMap& shard_map() const;
-  void set_membership(const tcsvc::MembershipAgent* membership) {
-    membership_ = membership;
-  }
 
  private:
   /// Per-name send state: the FIFO sequencer mutex and the next seq. A seq
@@ -139,11 +131,6 @@ class MailboxClient {
     std::uint64_t next_seq = 1;
   };
 
-  cluster::TcCluster& cluster_;
-  tcsvc::RpcNode& rpc_;
-  tcsvc::ShardMap map_;
-  MailboxConfig cfg_;
-  const tcsvc::MembershipAgent* membership_ = nullptr;
   std::map<std::string, Box, std::less<>> boxes_;
   MailboxClientStats stats_;
 };

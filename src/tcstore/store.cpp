@@ -287,100 +287,14 @@ void StoreService::prune_dedup(int shard, std::uint64_t client,
       static_cast<double>(dedup_records())));
 }
 
-bool StoreService::isolated() const {
-  // Degrading to a single-copy ack is only safe when the partner's failure
-  // looks isolated: a chip whose driver judges EVERY other server dead is far
-  // more likely the cut-off side of a partition (or dying itself) than the
-  // last survivor — its keepalive verdicts are worthless, and an op acked on
-  // its copy alone is stranded the moment the rest of the cluster evicts it.
-  const int self = rpc_.chip();
-  bool any_other = false;
-  for (const int s : kv_.shard_map().servers()) {
-    if (s == self) continue;
-    any_other = true;
-    if (cluster_.driver(self).peer_alive(s)) return false;
-  }
-  return any_other;
-}
-
 sim::Task<Status> StoreService::flush_pending(int shard, OpRecord& rec,
                                               Picoseconds deadline) {
-  sim::Engine& engine = cluster_.engine();
-  const int self = rpc_.chip();
-  if (!rec.partner_frame.empty()) {
-    // Re-derive the partner each attempt: an epoch bump between the original
-    // failure and this flush retargets the frame at the current partner
-    // (which version-gates a copy it already holds).
-    const int partner = kv_.shard_map().partner_of(shard, self);
-    if (partner < 0) {
-      rec.partner_frame.clear();
-    } else if (!cluster_.driver(self).peer_alive(partner)) {
-      if (isolated()) {
-        co_return make_error(ErrorCode::kUnavailable,
-                             "refusing degraded ack: this chip looks isolated");
-      }
-      ++stats_.degraded_ops;
-      TCC_METRIC(detail::metrics().degraded_ops.inc());
-      rec.partner_frame.clear();
-    } else {
-      tcsvc::CallOptions opts;
-      opts.channel = cfg_.replication_channel;
-      opts.deadline = std::min(deadline, engine.now() + cfg_.replicate_deadline);
-      auto r = co_await rpc_.call(partner, kStoreReplicateOp, rec.partner_frame,
-                                  opts);
-      if (r.ok()) {
-        rec.partner_frame.clear();
-      } else if (!cluster_.driver(self).peer_alive(partner)) {
-        if (isolated()) {
-          co_return make_error(ErrorCode::kUnavailable,
-                               "refusing degraded ack: this chip looks isolated");
-        }
+  co_return co_await kv_.replicate(
+      shard, rec.repl, deadline, [this](tcsvc::KvService::PartnerLeg leg) {
+        if (leg != tcsvc::KvService::PartnerLeg::kDegraded) return;
         ++stats_.degraded_ops;
         TCC_METRIC(detail::metrics().degraded_ops.inc());
-        rec.partner_frame.clear();
-      } else {
-        // Partner alive but the sub-call failed: refuse the ack so the
-        // client retries — the retry dedup-hits and re-runs this flush.
-        co_return make_error(ErrorCode::kUnavailable,
-                             "op replication failed: " + r.error().to_string());
-      }
-    }
-  }
-  if (!rec.forward_frame.empty()) {
-    // The dual-write goes to the targets captured when the op executed, NOT
-    // the live forward set: a COMMIT landing between the partner send above
-    // and this loop clears the live set, and re-reading it here would drop
-    // the frame — the new owner's snapshot cursor already passed this key,
-    // so the acked op would exist nowhere the new epoch serves from. If the
-    // captured target has since become the partner, the state-mode frame is
-    // version-gated at the receiver and the resend is a no-op.
-    tcsvc::MembershipAgent* membership = kv_.membership();
-    for (const int target : rec.forward_targets) {
-      if (target == self) continue;
-      if (!cluster_.driver(self).peer_alive(target)) {
-        // Skipping a dead stream target is fine (the move will be redone);
-        // skipping it because our own verdicts are garbage is not.
-        if (isolated()) {
-          co_return make_error(ErrorCode::kUnavailable,
-                               "refusing degraded ack: this chip looks isolated");
-        }
-        continue;
-      }
-      tcsvc::CallOptions opts;
-      opts.channel = cfg_.replication_channel;
-      opts.deadline = std::min(deadline, engine.now() + cfg_.replicate_deadline);
-      auto r = co_await rpc_.call(target, kStoreReplicateOp, rec.forward_frame,
-                                  opts);
-      if (!r.ok() && cluster_.driver(self).peer_alive(target)) {
-        co_return make_error(ErrorCode::kUnavailable,
-                             "op dual-write failed: " + r.error().to_string());
-      }
-      if (membership != nullptr) membership->note_dual_write();
-    }
-    rec.forward_frame.clear();
-    rec.forward_targets.clear();
-  }
-  co_return Status{};
+      });
 }
 
 sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
@@ -422,19 +336,10 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
         std::string(it->second.resp.begin(), it->second.resp.end()));
   }
 
-  // Capture the replication fan-out before mutating state (same rule as
+  // Capture the dual-write targets before mutating state (same rule as
   // KvService::on_put): a rebalance commit landing between the write and the
   // sends must not let this op slip between snapshot and dual-write.
-  const int self = rpc_.chip();
-  const int partner = kv_.shard_map().partner_of(shard, self);
-  tcsvc::MembershipAgent* membership = kv_.membership();
-  std::vector<int> fwd_targets;
-  if (membership != nullptr) {
-    for (const int t : membership->forward_targets(shard)) {
-      if (t != self && t != partner) fwd_targets.push_back(t);
-    }
-  }
-  const bool has_forwards = !fwd_targets.empty();
+  std::vector<int> fwd_targets = kv_.capture_forwards(shard);
 
   bool expired = false;
   const auto existing = kv_.read_entry(shard, req.key, &expired);
@@ -538,38 +443,36 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
   rec.code = code;
   rec.resp = code == 0 ? resp
                        : std::vector<std::uint8_t>(err_msg.begin(), err_msg.end());
-  if (partner >= 0) {
-    // Logical replication to the partner: the op and its operands, stamped
-    // with the assigned version and absolute expiry. Outcomes without a
-    // state change (CAS conflict, append overflow, typed errors) still
-    // travel as record-only frames so a failover retry replays them.
-    //
-    // One exception falls back to state mode: a base entry that carries an
-    // expiry. The partner re-executes strictly later than the primary, so
-    // the base the primary read live could read as expired (absent) by the
-    // time the frame lands — re-execution would start from scratch and
-    // diverge. Shipping the resulting bytes sidesteps the race (see
-    // docs/ARCHITECTURE.md "Store & mailboxes").
-    const bool base_has_ttl =
-        existing.has_value() && existing->expires_at_ps > 0;
-    const std::uint8_t mode =
-        !changed ? kModeRecordOnly : (base_has_ttl ? kModeState : kModeLogical);
-    rec.partner_frame = encode_replicate_op(
-        req.op, mode, req.key, version, expires_at_ps, req.client, req.seq,
-        req.watermark, req.arg0, code, rec.resp,
-        mode == kModeState ? std::span<const std::uint8_t>(new_value)
-                           : as_bytes(req.value));
-  }
-  if (has_forwards) {
+  // Logical replication to the partner: the op and its operands, stamped
+  // with the assigned version and absolute expiry. Outcomes without a
+  // state change (CAS conflict, append overflow, typed errors) still
+  // travel as record-only frames so a failover retry replays them.
+  //
+  // One exception falls back to state mode: a base entry that carries an
+  // expiry. The partner re-executes strictly later than the primary, so
+  // the base the primary read live could read as expired (absent) by the
+  // time the frame lands — re-execution would start from scratch and
+  // diverge. Shipping the resulting bytes sidesteps the race (see
+  // docs/ARCHITECTURE.md "Store & mailboxes").
+  const bool base_has_ttl =
+      existing.has_value() && existing->expires_at_ps > 0;
+  const std::uint8_t mode =
+      !changed ? kModeRecordOnly : (base_has_ttl ? kModeState : kModeLogical);
+  rec.repl.partner_frame = encode_replicate_op(
+      req.op, mode, req.key, version, expires_at_ps, req.client, req.seq,
+      req.watermark, req.arg0, code, rec.resp,
+      mode == kModeState ? std::span<const std::uint8_t>(new_value)
+                         : as_bytes(req.value));
+  if (!fwd_targets.empty()) {
     // State dual-write to migration targets: they may not hold the base
     // value yet (behind the snapshot cursor), so re-execution could diverge
     // — the resulting bytes travel instead, version-gated on apply. The
-    // target list rides in the record: see OpRecord::forward_targets.
-    rec.forward_frame = encode_replicate_op(
+    // target list rides in the record: see Replication::forward_targets.
+    rec.repl.forward_frame = encode_replicate_op(
         req.op, changed ? kModeState : kModeRecordOnly, req.key, version,
         expires_at_ps, req.client, req.seq, req.watermark, req.arg0, code,
         rec.resp, new_value);
-    rec.forward_targets = std::move(fwd_targets);
+    rec.repl.forward_targets = std::move(fwd_targets);
   }
   auto& stored = table[{req.client, req.seq}];
   stored = std::move(rec);
@@ -637,8 +540,8 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_replicate_op(
   }
   // Record the outcome for post-failover duplicate replay (insert-or-update:
   // a re-sent pending frame after a flaky first push just overwrites).
-  dedup_[static_cast<std::size_t>(shard)][{rep.client, rep.seq}] = OpRecord{
-      rep.code, {rep.resp.begin(), rep.resp.end()}, {}, {}, {}};
+  dedup_[static_cast<std::size_t>(shard)][{rep.client, rep.seq}] =
+      OpRecord{rep.code, {rep.resp.begin(), rep.resp.end()}};
   ++stats_.replicated_ops;
   TCC_METRIC(detail::metrics().replicated_ops.inc());
   TCC_METRIC(detail::metrics().dedup_records.set(
@@ -742,8 +645,7 @@ void StoreService::apply_aux(int shard, std::span<const std::uint8_t> blob) {
     if (!r.ok) break;
     // Insert-if-absent: a record that also arrived via the dual-write path
     // may carry fresher pending state — never downgrade it.
-    table.try_emplace({client, seq},
-                      OpRecord{code, {resp.begin(), resp.end()}, {}, {}, {}});
+    table.try_emplace({client, seq}, OpRecord{code, {resp.begin(), resp.end()}});
   }
   TCC_METRIC(detail::metrics().dedup_records.set(
       static_cast<double>(dedup_records())));
@@ -759,60 +661,15 @@ void StoreService::reset_aux(int shard) {
 
 StoreClient::StoreClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
                          tcsvc::ShardMap map, StoreConfig cfg)
-    : cluster_(cluster), rpc_(rpc), map_(std::move(map)), cfg_(cfg) {}
-
-const tcsvc::ShardMap& StoreClient::shard_map() const {
-  return membership_ != nullptr ? membership_->map() : map_;
-}
-
-sim::Task<Result<std::vector<std::uint8_t>>> StoreClient::request(
-    std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
-    Picoseconds deadline) {
-  sim::Engine& engine = cluster_.engine();
-  const int self = rpc_.chip();
-  auto alive = [&](int chip) {
-    return chip == self || cluster_.driver(self).peer_alive(chip);
-  };
-
-  bool prefer_replica = false;
-  for (;;) {
-    // Placement is re-resolved per attempt — same contract as KvClient.
-    const tcsvc::ShardMap& m = shard_map();
-    const int p = m.primary(shard);
-    const int r = m.replica(shard);
-    int target = p;
-    if ((prefer_replica || !alive(p)) && r >= 0) {
-      target = r;
-      ++stats_.failover_routes;
-    }
-    tcsvc::CallOptions opts;
-    opts.channel = cfg_.client_channel;
-    opts.deadline = std::min(deadline, engine.now() + cfg_.attempt_deadline);
-    auto result = co_await rpc_.call(target, method, payload, opts);
-    if (result.ok()) co_return result;
-    const ErrorCode code = result.error().code;
-    // Semantic outcomes are final (kResourceExhausted = append past cap);
-    // transport/availability trouble retries against the other copy. The op
-    // keeps its (client, seq) identity across attempts, so a retry of an op
-    // the primary already executed replays instead of re-executing.
-    if (code == ErrorCode::kNotFound || code == ErrorCode::kInvalidArgument ||
-        code == ErrorCode::kResourceExhausted) {
-      co_return result;
-    }
-    if (engine.now() + cfg_.retry_backoff >= deadline) co_return result;
-    ++stats_.retries;
-    prefer_replica = (target == p);  // alternate copies across attempts
-    co_await engine.delay(cfg_.retry_backoff);
-  }
-}
+    : ShardClient(cluster, rpc, std::move(map), tcsvc::KvConfig{}),
+      scan_frame_bytes_(cfg.scan_frame_bytes) {}
 
 sim::Task<Result<std::vector<std::uint8_t>>> StoreClient::run_op(
     StoreOp op, std::string_view key, std::int64_t arg0,
     std::span<const std::uint8_t> value, Picoseconds ttl,
     std::optional<Picoseconds> deadline) {
   ++stats_.ops;
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
+  const Picoseconds abs = op_deadline(deadline);
   // One identity per op, assigned once and reused across every retry. The
   // watermark is the lowest seq still without a final outcome (including
   // this one): the primary may forget every record below it, because the
@@ -821,9 +678,10 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreClient::run_op(
   outstanding_.insert(seq);
   const std::uint64_t watermark = *outstanding_.begin();
   const auto client = static_cast<std::uint64_t>(rpc_.chip());
-  auto result = co_await request(
+  auto result = co_await call(
       kStoreOp, shard_map().shard_of(key),
-      encode_op(op, key, client, seq, watermark, ttl.count(), arg0, value), abs);
+      encode_op(op, key, client, seq, watermark, ttl.count(), arg0, value), abs,
+      stats_);
   outstanding_.erase(seq);
   co_return result;
 }
@@ -889,19 +747,18 @@ sim::Task<Result<std::uint64_t>> StoreClient::set(
 sim::Task<Result<std::vector<ScanEntry>>> StoreClient::scan_shard(
     int shard, std::string_view start_key, std::string_view end_key,
     std::optional<Picoseconds> deadline) {
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
+  const Picoseconds abs = op_deadline(deadline);
   std::vector<ScanEntry> out;
   std::string cursor(start_key);
   for (;;) {
     std::vector<std::uint8_t> payload;
     put_u32(payload, static_cast<std::uint32_t>(shard));
-    put_u32(payload, cfg_.scan_frame_bytes);
+    put_u32(payload, scan_frame_bytes_);
     put_u16(payload, static_cast<std::uint16_t>(cursor.size()));
     put_u16(payload, static_cast<std::uint16_t>(end_key.size()));
     put_bytes(payload, as_bytes(cursor));
     put_bytes(payload, as_bytes(end_key));
-    auto r = co_await request(kStoreScan, shard, std::move(payload), abs);
+    auto r = co_await call(kStoreScan, shard, std::move(payload), abs, stats_);
     if (!r.ok()) co_return r.error();
 
     Reader reader{r.value()};

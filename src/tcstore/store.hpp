@@ -74,21 +74,14 @@ enum class StoreOp : std::uint8_t {
   kSet = 4,     ///< plain write through the store path (carries a TTL)
 };
 
+/// Store-specific tuning. Deadlines, retry backoff and RPC channels are the
+/// serving tier's: the client takes them from KvConfig's defaults, the
+/// service from the KvService it wraps.
 struct StoreConfig {
-  /// Default absolute-deadline budget of one client operation.
-  Picoseconds op_deadline = Picoseconds::from_us(500.0);
-  /// Budget of a single attempt within an operation (see KvConfig).
-  Picoseconds attempt_deadline = Picoseconds::from_us(60.0);
-  /// Replication sub-call budget.
-  Picoseconds replicate_deadline = Picoseconds::from_us(100.0);
   /// Modeled CPU service time of one RMW op (read + modify + write).
   Picoseconds op_compute = Picoseconds::from_ns(350.0);
-  /// Backoff between client retry attempts.
-  Picoseconds retry_backoff = Picoseconds::from_us(2.0);
   /// Period of the lazy-TTL backstop sweep (runs until RpcNode::stop()).
   Picoseconds sweep_period = Picoseconds::from_us(50.0);
-  std::uint8_t client_channel = 0;
-  std::uint8_t replication_channel = 1;
   /// Largest value an append may grow to (kResourceExhausted past it).
   std::uint32_t append_cap = 4096;
   /// Key-level mutex stripes per shard: ops on the same stripe serialize
@@ -145,18 +138,13 @@ class StoreService : public tcsvc::ShardAuxStreamer {
  private:
   /// Outcome of one executed op, kept for duplicate replay. A record whose
   /// replication could not be pushed (partner alive but the sub-call failed)
-  /// keeps the pending frames; the duplicate that triggers the replay
+  /// keeps the pending legs (logical partner frame, state dual-write frame
+  /// and its captured targets); the duplicate that triggers the replay
   /// re-sends them first, so "acked" still implies "on every live copy".
   struct OpRecord {
     std::uint32_t code = 0;  ///< 0 = ok, else ErrorCode + 1
     std::vector<std::uint8_t> resp;
-    std::vector<std::uint8_t> partner_frame;  ///< pending logical replicate
-    std::vector<std::uint8_t> forward_frame;  ///< pending state dual-write
-    /// Dual-write targets captured when the op executed. The flush must not
-    /// re-read the live forward set: a rebalance COMMIT landing between the
-    /// partner send and the dual-write send clears it, and the op would slip
-    /// between the snapshot cursor and the (never-sent) forward.
-    std::vector<int> forward_targets;
+    tcsvc::KvService::Replication repl{kStoreReplicateOp, {}, {}, {}};
   };
 
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> on_op(
@@ -166,13 +154,8 @@ class StoreService : public tcsvc::ShardAuxStreamer {
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> on_scan(
       const tcsvc::RpcContext& ctx, std::span<const std::uint8_t> body);
 
-  /// True when this chip judges every other server dead — i.e. its own
-  /// keepalive verdicts are untrustworthy and a degraded (single-copy) ack
-  /// would strand the op on a chip the rest of the cluster is about to evict.
-  [[nodiscard]] bool isolated() const;
-
-  /// Push a pending record's frames to the current partner/forward targets;
-  /// empty status once nothing is pending anymore.
+  /// Push a pending record's legs through KvService::replicate(), counting
+  /// degraded acks; empty status once nothing is pending anymore.
   [[nodiscard]] sim::Task<Status> flush_pending(int shard, OpRecord& rec,
                                                 Picoseconds deadline);
 
@@ -190,10 +173,8 @@ class StoreService : public tcsvc::ShardAuxStreamer {
   StoreStats stats_;
 };
 
-struct StoreClientStats {
+struct StoreClientStats : tcsvc::RouteStats {
   std::uint64_t ops = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failover_routes = 0;
 };
 
 /// One scanned entry.
@@ -206,8 +187,8 @@ struct ScanEntry {
 /// Routing client for store ops: assigns each op a (client, seq) identity
 /// once (reused across every retry, so the primary can dedup), tracks the
 /// lowest outstanding seq as the pruning watermark, and routes/fails over
-/// like KvClient.
-class StoreClient {
+/// through tcsvc::ShardClient like KvClient.
+class StoreClient : public tcsvc::ShardClient {
  public:
   StoreClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
               tcsvc::ShardMap map, StoreConfig cfg = {});
@@ -264,25 +245,14 @@ class StoreClient {
       std::optional<Picoseconds> deadline = std::nullopt);
 
   [[nodiscard]] const StoreClientStats& stats() const { return stats_; }
-  [[nodiscard]] const tcsvc::ShardMap& shard_map() const;
-  void set_membership(const tcsvc::MembershipAgent* membership) {
-    membership_ = membership;
-  }
 
  private:
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> run_op(
       StoreOp op, std::string_view key, std::int64_t arg0,
       std::span<const std::uint8_t> value, Picoseconds ttl,
       std::optional<Picoseconds> deadline);
-  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> request(
-      std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
-      Picoseconds deadline);
 
-  cluster::TcCluster& cluster_;
-  tcsvc::RpcNode& rpc_;
-  tcsvc::ShardMap map_;
-  StoreConfig cfg_;
-  const tcsvc::MembershipAgent* membership_ = nullptr;
+  std::uint32_t scan_frame_bytes_;
   std::uint64_t next_seq_ = 1;
   std::set<std::uint64_t> outstanding_;  ///< seqs without a final outcome
   StoreClientStats stats_;

@@ -337,6 +337,99 @@ void KvService::clear_degraded_if_restored() {
   stats_.degraded_open = 0;
 }
 
+bool KvService::isolated() const {
+  const int self = rpc_.chip();
+  bool any_other = false;
+  for (const int s : shard_map().servers()) {
+    if (s == self) continue;
+    any_other = true;
+    if (cluster_.driver(self).peer_alive(s)) return false;
+  }
+  return any_other;
+}
+
+std::vector<int> KvService::capture_forwards(int shard) const {
+  std::vector<int> out;
+  if (membership_ == nullptr) return out;
+  const int self = rpc_.chip();
+  const int partner = shard_map().partner_of(shard, self);
+  for (const int t : membership_->forward_targets(shard)) {
+    if (t != self && t != partner) out.push_back(t);
+  }
+  return out;
+}
+
+sim::Task<Status> KvService::replicate(int shard, Replication& rep,
+                                       Picoseconds deadline,
+                                       std::function<void(PartnerLeg)> count) {
+  const int self = rpc_.chip();
+  auto alive = [&](int chip) { return cluster_.driver(self).peer_alive(chip); };
+  auto send = [&](int peer, const std::vector<std::uint8_t>& frame) {
+    CallOptions opts;
+    opts.channel = cfg_.replication_channel;
+    opts.deadline = std::min(deadline,
+                             cluster_.engine().now() + cfg_.replicate_deadline);
+    return rpc_.call(peer, rep.method, frame, opts);
+  };
+  auto refuse_isolated = [] {
+    return make_error(ErrorCode::kUnavailable,
+                      "refusing degraded ack: this chip looks isolated");
+  };
+
+  if (!rep.partner_frame.empty()) {
+    // Re-derive the partner each flush: an epoch bump between a failed push
+    // and the retry's flush retargets the frame at the current partner
+    // (which version-gates a copy it already holds).
+    const int partner = shard_map().partner_of(shard, self);
+    bool degraded = partner >= 0 && !alive(partner);
+    if (partner >= 0 && !degraded) {
+      auto r = co_await send(partner, rep.partner_frame);
+      if (r.ok()) {
+        count(PartnerLeg::kReplicated);
+      } else if (alive(partner)) {
+        // Partner alive but the sub-call failed (e.g. its deadline expired
+        // under load): refuse the ack so the client retries — an acked
+        // write must exist on both live copies.
+        co_return make_error(ErrorCode::kUnavailable,
+                             "replication failed: " + r.error().to_string());
+      } else {
+        degraded = true;  // the partner died mid-call; its verdict landed first
+      }
+    }
+    if (degraded) {
+      if (isolated()) co_return refuse_isolated();
+      count(PartnerLeg::kDegraded);
+    }
+    rep.partner_frame.clear();
+  }
+
+  if (!rep.forward_frame.empty()) {
+    // Dual-write during migration: while this node is a rebalance stream
+    // source, the ack additionally requires the write on every future owner
+    // — the snapshot stream only covers keys behind its cursor. If a
+    // captured target has since become the partner, the frame is
+    // version-gated at the receiver and the resend is a no-op.
+    for (const int target : rep.forward_targets) {
+      if (!alive(target)) {
+        // Skipping a dead stream target is fine (the move will be redone);
+        // skipping it because our own verdicts are garbage is not.
+        if (isolated()) co_return refuse_isolated();
+        continue;
+      }
+      auto r = co_await send(target, rep.forward_frame);
+      if (!r.ok() && alive(target)) {
+        co_return make_error(ErrorCode::kUnavailable,
+                             "dual-write failed: " + r.error().to_string());
+      }
+      if (membership_ != nullptr) membership_->note_dual_write();
+      TCC_METRIC(detail::metrics().rebalance_dual_writes.inc());
+    }
+    rep.forward_frame.clear();
+    rep.forward_targets.clear();
+  }
+  co_return Status{};
+}
+
 std::uint64_t KvService::entries() const {
   std::uint64_t n = 0;
   for (const auto& shard : store_) n += shard.size();
@@ -402,19 +495,16 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_put(
     TCC_METRIC(detail::metrics().kv_not_primary.inc());
     co_return make_error(ErrorCode::kFailedPrecondition, "not primary for shard");
   }
-  const int self = rpc_.chip();
-  if (shard_map().primary(shard) != self) {
+  if (shard_map().primary(shard) != rpc_.chip()) {
     ++stats_.failover_serves;
     TCC_METRIC(detail::metrics().kv_failover_serves.inc());
   }
-  // Capture the replication fan-out NOW, before any suspension point: a
+  // Capture the dual-write targets NOW, before any suspension point: a
   // rebalance commit landing mid-handler must not let this write slip
   // between the snapshot stream (which ended before commit) and the
-  // dual-write (which we are about to perform from this captured list).
-  const int partner = shard_map().partner_of(shard, self);
-  const std::vector<int> forwards =
-      membership_ != nullptr ? membership_->forward_targets(shard)
-                             : std::vector<int>{};
+  // dual-write (which replicate() performs from this captured list).
+  Replication rep;
+  rep.forward_targets = capture_forwards(shard);
 
   const std::uint64_t version = ++next_version_[static_cast<std::size_t>(shard)];
   store_[static_cast<std::size_t>(shard)][std::string(key)] =
@@ -422,63 +512,24 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_put(
   ++stats_.puts;
   TCC_METRIC(detail::metrics().kv_puts.inc());
 
-  // Synchronous replication: ack the client only once the partner applied
-  // the write — or is already judged dead, in which case the single
-  // surviving copy IS the store (counted as a degraded ack).
-  if (partner >= 0) {
-    if (cluster_.driver(self).peer_alive(partner)) {
-      const Picoseconds repl_deadline =
-          std::min(ctx.deadline,
-                   cluster_.engine().now() + cfg_.replicate_deadline);
-      CallOptions opts;
-      opts.channel = cfg_.replication_channel;
-      opts.deadline = repl_deadline;
-      auto r = co_await rpc_.call(partner, kKvReplicate,
-                                  encode_replicate(key, version, value), opts);
-      if (r.ok()) {
-        ++stats_.replications_out;
-      } else if (!cluster_.driver(self).peer_alive(partner)) {
-        // The partner died mid-replication; the keepalive verdict arrived
-        // first. Ack on the surviving copy.
-        ++stats_.degraded_writes;
-        ++stats_.degraded_open;
-        TCC_METRIC(detail::metrics().kv_degraded_writes.inc());
-        TCC_METRIC(detail::metrics().kv_degraded_open.add(1.0));
-      } else {
-        // Partner alive but the sub-call failed (e.g. its deadline expired
-        // under load): refuse the ack so the client retries — an acked
-        // write must exist on both live copies.
-        co_return make_error(ErrorCode::kUnavailable,
-                             "replication failed: " + r.error().to_string());
-      }
-    } else {
-      ++stats_.degraded_writes;
-      ++stats_.degraded_open;
-      TCC_METRIC(detail::metrics().kv_degraded_writes.inc());
-      TCC_METRIC(detail::metrics().kv_degraded_open.add(1.0));
+  // Synchronous replication: ack the client only once the partner (and any
+  // migration target) applied the write — or the partner is already judged
+  // dead, in which case the single surviving copy IS the store (counted as
+  // a degraded ack). Version gating dedupes entries that reach a target
+  // both by dual-write and by snapshot stream.
+  rep.partner_frame = encode_replicate(key, version, value);
+  if (!rep.forward_targets.empty()) rep.forward_frame = rep.partner_frame;
+  Status s = co_await replicate(shard, rep, ctx.deadline, [this](PartnerLeg leg) {
+    if (leg == PartnerLeg::kReplicated) {
+      ++stats_.replications_out;
+      return;
     }
-  }
-
-  // Dual-write during migration: while this node is a rebalance stream
-  // source, the ack additionally requires the write on every future owner —
-  // the snapshot stream only covers keys behind its cursor. Version gating
-  // dedupes entries that travel both paths.
-  for (const int target : forwards) {
-    if (target == self || target == partner) continue;
-    if (!cluster_.driver(self).peer_alive(target)) continue;  // mid-rebalance death
-    CallOptions opts;
-    opts.channel = cfg_.replication_channel;
-    opts.deadline = std::min(ctx.deadline,
-                             cluster_.engine().now() + cfg_.replicate_deadline);
-    auto r = co_await rpc_.call(target, kKvReplicate,
-                                encode_replicate(key, version, value), opts);
-    if (!r.ok() && cluster_.driver(self).peer_alive(target)) {
-      co_return make_error(ErrorCode::kUnavailable,
-                           "dual-write failed: " + r.error().to_string());
-    }
-    membership_->note_dual_write();
-    TCC_METRIC(detail::metrics().rebalance_dual_writes.inc());
-  }
+    ++stats_.degraded_writes;
+    ++stats_.degraded_open;
+    TCC_METRIC(detail::metrics().kv_degraded_writes.inc());
+    TCC_METRIC(detail::metrics().kv_degraded_open.add(1.0));
+  });
+  if (!s.ok()) co_return s.error();
   co_return encode_version(version);
 }
 
@@ -500,19 +551,23 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_replicate(
   co_return std::vector<std::uint8_t>{};
 }
 
-// -------------------------------------------------------------- KvClient --
+// ----------------------------------------------------------- ShardClient --
 
-KvClient::KvClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
-                   KvConfig cfg)
+ShardClient::ShardClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
+                         KvConfig cfg)
     : cluster_(cluster), rpc_(rpc), map_(std::move(map)), cfg_(cfg) {}
 
-const ShardMap& KvClient::shard_map() const {
+const ShardMap& ShardClient::shard_map() const {
   return membership_ != nullptr ? membership_->map() : map_;
 }
 
-sim::Task<Result<std::vector<std::uint8_t>>> KvClient::request(
+Picoseconds ShardClient::op_deadline(std::optional<Picoseconds> deadline) const {
+  return deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
+}
+
+sim::Task<Result<std::vector<std::uint8_t>>> ShardClient::call(
     std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
-    Picoseconds deadline) {
+    Picoseconds deadline, RouteStats& stats) {
   sim::Engine& engine = cluster_.engine();
   const int self = rpc_.chip();
   auto alive = [&](int chip) {
@@ -530,7 +585,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvClient::request(
     int target = p;
     if ((prefer_replica || !alive(p)) && r >= 0) {
       target = r;
-      ++stats_.failover_routes;
+      ++stats.failover_routes;
     }
     CallOptions opts;
     opts.channel = cfg_.client_channel;
@@ -538,36 +593,40 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvClient::request(
     auto result = co_await rpc_.call(target, method, payload, opts);
     if (result.ok()) co_return result;
     const ErrorCode code = result.error().code;
-    // Semantic outcomes are final; transport/availability trouble retries
-    // against the shard's other copy until the deadline runs out.
-    if (code == ErrorCode::kNotFound || code == ErrorCode::kInvalidArgument) {
+    if (code == ErrorCode::kNotFound || code == ErrorCode::kInvalidArgument ||
+        code == ErrorCode::kResourceExhausted ||
+        code == ErrorCode::kProtocolViolation) {
       co_return result;
     }
     if (engine.now() + cfg_.retry_backoff >= deadline) co_return result;
-    ++stats_.retries;
+    ++stats.retries;
     prefer_replica = (target == p);  // alternate copies across attempts
     co_await engine.delay(cfg_.retry_backoff);
   }
 }
 
+// -------------------------------------------------------------- KvClient --
+
+KvClient::KvClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
+                   KvConfig cfg)
+    : ShardClient(cluster, rpc, std::move(map), cfg) {}
+
 sim::Task<Result<std::vector<std::uint8_t>>> KvClient::get(
     std::string_view key, std::optional<Picoseconds> deadline) {
   ++stats_.gets;
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
+  const Picoseconds abs = op_deadline(deadline);
   std::vector<std::uint8_t> payload(key.begin(), key.end());
-  co_return co_await request(kKvGet, shard_map().shard_of(key),
-                             std::move(payload), abs);
+  co_return co_await call(kKvGet, shard_map().shard_of(key), std::move(payload),
+                          abs, stats_);
 }
 
 sim::Task<Result<std::uint64_t>> KvClient::put(
     std::string_view key, std::span<const std::uint8_t> value,
     std::optional<Picoseconds> deadline) {
   ++stats_.puts;
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
-  auto result = co_await request(kKvPut, shard_map().shard_of(key),
-                                 encode_put(key, value), abs);
+  const Picoseconds abs = op_deadline(deadline);
+  auto result = co_await call(kKvPut, shard_map().shard_of(key),
+                              encode_put(key, value), abs, stats_);
   if (!result.ok()) co_return result.error();
   if (result.value().size() != 8) {
     co_return make_error(ErrorCode::kProtocolViolation, "bad put response");

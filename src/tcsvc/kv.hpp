@@ -16,15 +16,15 @@
 //    replica over a dedicated RPC channel; the client is acked only once
 //    both copies exist (or the replica is already judged dead — a counted
 //    "degraded" ack). No acknowledged write is lost when either single
-//    node dies.
+//    node dies. KvService::replicate() is the one replication fan-out of
+//    the serving tier; the store layer (src/tcstore) sends its op frames
+//    through it too.
 //  * failover is epoch-aware by construction: the TcDriver keepalive
 //    verdict that declares the primary dead is the same edge that bumps
 //    the tcrel membership epoch, so a promoted replica starts serving in
-//    the first epoch after the fault. In-flight client frames ride tcrel's
-//    DeliveryPolicy::kReplay across the bump; writes the dead primary
-//    never acked surface as client timeouts and are retried against the
-//    replica (kFlush trades that replay for bounded catch-up — same knob,
-//    RelConfig::policy).
+//    the first epoch after the fault. In-flight client frames are replayed
+//    by tcrel across the bump; writes the dead primary never acked surface
+//    as client timeouts and are retried against the replica.
 //  * the replica promotes itself per-request ("acting primary": configured
 //    primary, or replica while the primary is judged dead) and the client
 //    routes the same way, so there is no separate view-change protocol to
@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -193,10 +194,43 @@ class KvService {
   void drop_unowned();
   void clear_degraded_if_restored();
 
-  // ---- store-layer hooks (src/tcstore) ------------------------------------
-  /// The attached membership agent, nullptr before attach_service — layered
-  /// services (tcstore) read dual-write targets through it.
-  [[nodiscard]] MembershipAgent* membership() const { return membership_; }
+  // ---- replication fan-out (KV puts and tcstore ops) ---------------------
+  /// The replication legs one executed write still owes other copies. A leg
+  /// is cleared once it needs no resend, so a record whose fan-out failed
+  /// can be flushed again by a retry.
+  struct Replication {
+    std::uint16_t method = kKvReplicate;  ///< handler that applies the frames
+    std::vector<std::uint8_t> partner_frame;  ///< to the shard partner
+    std::vector<std::uint8_t> forward_frame;  ///< dual-write to forward_targets
+    /// Dual-write targets captured when the write executed (capture_forwards).
+    /// A flush must not re-read the live forward set: a rebalance COMMIT
+    /// landing between the partner send and the dual-write send clears it,
+    /// and the write would slip between the snapshot cursor and the
+    /// never-sent forward.
+    std::vector<int> forward_targets;
+  };
+  /// How the partner leg of a fan-out ended; the caller counts it.
+  enum class PartnerLeg { kReplicated, kDegraded };
+
+  /// Migration targets a write to `shard` must also reach, excluding this
+  /// chip and the partner. Call before the handler's first suspension point
+  /// and keep the list in Replication::forward_targets.
+  [[nodiscard]] std::vector<int> capture_forwards(int shard) const;
+
+  /// Push `rep`'s pending legs: the partner frame to the shard's current
+  /// partner (re-derived per flush, so an epoch bump retargets it), then the
+  /// forward frame to every captured target. The ack rule an acked write
+  /// must satisfy, in one place:
+  ///  * a failed send to a live partner or live target refuses the ack
+  ///    (kUnavailable) and leaves the leg pending for the client's retry;
+  ///  * a partner judged dead degrades the ack (reported as kDegraded) and a
+  ///    dead target is skipped — unless this chip judges every other server
+  ///    dead, in which case its own verdicts are untrustworthy and it
+  ///    refuses (kUnavailable) instead.
+  /// `count` sees the partner leg's outcome.
+  [[nodiscard]] sim::Task<Status> replicate(
+      int shard, Replication& rep, Picoseconds deadline,
+      std::function<void(PartnerLeg)> count);
 
   /// One expiry-aware read. A key past its expiry reads as absent and is
   /// lazily erased (the periodic sweep handles keys nobody reads); whether a
@@ -237,6 +271,10 @@ class KvService {
   };
 
   [[nodiscard]] bool entry_expired(const Entry& e) const;
+  /// True when this chip judges every other server dead — the cut-off side
+  /// of a partition more likely than the last survivor, so a single-copy ack
+  /// would strand the write on a chip the rest is about to evict.
+  [[nodiscard]] bool isolated() const;
 
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> on_get(
       const RpcContext& ctx, std::span<const std::uint8_t> body);
@@ -258,18 +296,68 @@ class KvService {
   KvStats stats_;
 };
 
-/// Client-side counters.
-struct KvClientStats {
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
+/// Retry counters of the shared client call path.
+struct RouteStats {
   std::uint64_t retries = 0;
-  std::uint64_t failover_routes = 0;  ///< requests routed to the replica
+  std::uint64_t failover_routes = 0;  ///< attempts routed to the replica
 };
 
-/// Routing client: hashes keys to shards, targets the acting primary, and
-/// fails over to the replica on a dead-peer verdict or a failed attempt —
-/// retrying within the operation deadline.
-class KvClient {
+/// The one shard-routed client call path of the serving tier; KvClient,
+/// tcstore::StoreClient and tcstore::MailboxClient are thin encoders over it.
+/// call() runs the failover loop:
+///  * placement is re-resolved on every attempt (the membership agent's map
+///    once one is attached), so a cutover between attempts reroutes the next;
+///  * an attempt goes to the shard's primary, or to the replica while the
+///    primary is judged dead; after a failure the next attempt alternates
+///    between the two copies;
+///  * each attempt gets its own deadline slice (KvConfig::attempt_deadline)
+///    inside the operation deadline, and attempts are spaced by
+///    KvConfig::retry_backoff.
+/// Finality rule: kNotFound, kInvalidArgument, kResourceExhausted and
+/// kProtocolViolation are the server's (or the wire's) final word and return
+/// at once; every other error retries until the operation deadline.
+class ShardClient {
+ public:
+  /// The placement this client routes by (the membership agent's map when
+  /// attached — see KvService::shard_map()).
+  [[nodiscard]] const ShardMap& shard_map() const;
+
+  /// Attach a membership agent: routing follows committed epochs.
+  void set_membership(const MembershipAgent* membership) {
+    membership_ = membership;
+  }
+
+ protected:
+  ShardClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
+              KvConfig cfg);
+
+  /// Absolute deadline of one operation: `deadline`, else now + op_deadline.
+  [[nodiscard]] Picoseconds op_deadline(
+      std::optional<Picoseconds> deadline) const;
+
+  /// Route `payload` to `shard`'s acting primary under the failover loop and
+  /// finality rule above, counting into `stats`.
+  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> call(
+      std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
+      Picoseconds deadline, RouteStats& stats);
+
+  cluster::TcCluster& cluster_;
+  RpcNode& rpc_;
+
+ private:
+  ShardMap map_;
+  KvConfig cfg_;
+  const MembershipAgent* membership_ = nullptr;
+};
+
+/// Client-side counters.
+struct KvClientStats : RouteStats {
+  std::uint64_t gets = 0;
+  std::uint64_t puts = 0;
+};
+
+/// Routing KV client: hashes keys to shards and sends through ShardClient.
+class KvClient : public ShardClient {
  public:
   KvClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
            KvConfig cfg = {});
@@ -282,27 +370,8 @@ class KvClient {
       std::optional<Picoseconds> deadline = std::nullopt);
 
   [[nodiscard]] const KvClientStats& stats() const { return stats_; }
-  /// The placement this client routes by (the membership agent's map when
-  /// attached — see KvService::shard_map()).
-  [[nodiscard]] const ShardMap& shard_map() const;
-
-  /// Attach a membership agent: routing follows committed epochs, and the
-  /// retry loop re-resolves placement per attempt so a cutover that lands
-  /// between attempts reroutes the very next one.
-  void set_membership(const MembershipAgent* membership) {
-    membership_ = membership;
-  }
 
  private:
-  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> request(
-      std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
-      Picoseconds deadline);
-
-  cluster::TcCluster& cluster_;
-  RpcNode& rpc_;
-  ShardMap map_;
-  KvConfig cfg_;
-  const MembershipAgent* membership_ = nullptr;
   KvClientStats stats_;
 };
 

@@ -177,7 +177,7 @@ void MembershipAgent::attach_service(KvService* svc) {
   if (svc_ != nullptr) svc_->set_membership(this);
 }
 
-void MembershipAgent::attach_client(KvClient* client) {
+void MembershipAgent::attach_client(ShardClient* client) {
   client_ = client;
   if (client_ != nullptr) client_->set_membership(this);
 }

@@ -141,7 +141,7 @@ class MembershipAgent {
   /// Bind the co-located service/client: they start routing by this agent's
   /// map, and the service dual-writes through forward_targets().
   void attach_service(KvService* svc);
-  void attach_client(KvClient* client);
+  void attach_client(ShardClient* client);
   /// Attach a per-shard aux-state streamer (tcstore dedup records): its blobs
   /// ride the migration stream after the entry chunks, and it is reset on the
   /// same edges the KV copy is (incoming prepare, post-commit disown).
@@ -194,7 +194,7 @@ class MembershipAgent {
   std::vector<ShardMove> moves_;        ///< the in-flight rebalance's moves
   std::map<int, std::vector<int>> forwards_;  ///< shard -> dual-write targets
   KvService* svc_ = nullptr;
-  KvClient* client_ = nullptr;
+  ShardClient* client_ = nullptr;
   ShardAuxStreamer* aux_ = nullptr;
   MembershipStats stats_;
 };

@@ -527,5 +527,44 @@ TEST(KvFailover, PromotesReplicaWithinOneEpochNoAckedWriteLost) {
   }
 }
 
+// The isolation guard: a chip that judges every other server dead is more
+// likely the cut-off side of a partition than the last survivor, so it must
+// refuse a single-copy (degraded) ack rather than trust its own verdicts.
+TEST(KvFailover, IsolatedChipRefusesDegradedAck) {
+  auto rig = make_rig();
+  sim::Engine& engine = rig.cl->engine();
+  rig.cl->start_keepalives(Picoseconds::from_us(2.0), Picoseconds::from_us(10.0));
+
+  // A key whose pair holds chip 1: with chips 2 and 3 hung, chip 1 is its
+  // acting primary and its partner is judged dead.
+  const auto& map = rig.client->shard_map();
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string k = "iso" + std::to_string(i);
+    if (map.partner_of(map.shard_of(k), 1) >= 0) key = k;
+  }
+  auto& chip1 = *rig.services[1];
+  bool done = false;
+  engine.spawn_fn([&]() -> sim::Task<void> {
+    for (const int chip : {2, 3}) {
+      rig.cl->driver(chip).set_hung(true);
+      rig.nodes[static_cast<std::size_t>(chip)]->stop();
+    }
+    co_await engine.delay(Picoseconds::from_us(50.0));  // verdicts land
+    EXPECT_TRUE(chip1.acting_primary(map.shard_of(key)));
+    auto r = co_await rig.client->put(key, bytes_of("v"),
+                                      engine.now() + Picoseconds::from_us(200.0));
+    EXPECT_FALSE(r.ok()) << "an isolated chip must not ack a single-copy write";
+    done = true;
+    rig.cl->stop_keepalives();
+    rig.stop_all();
+  });
+  engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_GT(chip1.stats().puts, 0u) << "the put must have reached chip 1";
+  EXPECT_EQ(chip1.stats().degraded_writes, 0u);
+  EXPECT_EQ(chip1.stats().degraded_open, 0u);
+}
+
 }  // namespace
 }  // namespace tcc

@@ -249,6 +249,42 @@ TEST(StoreOps, AppendGrowsUntilTypedCapOverflow) {
 
 // ------------------------------------------------------------------ TTL --
 
+// The isolation guard on the store path: with every other server judged
+// dead, the acting primary refuses the degraded ack instead of acking an op
+// held only on its own copy.
+TEST(StoreOps, IsolatedChipRefusesDegradedAck) {
+  auto rig = make_store_rig();
+  sim::Engine& engine = rig.cl->engine();
+  rig.cl->start_keepalives(Picoseconds::from_us(2.0), Picoseconds::from_us(10.0));
+
+  // A key whose pair holds chip 1: with chips 2 and 3 hung, chip 1 is its
+  // acting primary and its partner is judged dead.
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string k = "iso" + std::to_string(i);
+    if (rig.map.partner_of(rig.map.shard_of(k), 1) >= 0) key = k;
+  }
+  bool done = false;
+  engine.spawn_fn([&]() -> sim::Task<void> {
+    for (const int chip : {2, 3}) {
+      rig.cl->driver(chip).set_hung(true);
+      rig.nodes[static_cast<std::size_t>(chip)]->stop();
+    }
+    co_await engine.delay(Picoseconds::from_us(50.0));  // verdicts land
+    EXPECT_TRUE(rig.kvs[1]->acting_primary(rig.map.shard_of(key)));
+    auto r = co_await rig.client->incr(key, 1, Picoseconds{0},
+                                       engine.now() + Picoseconds::from_us(200.0));
+    EXPECT_FALSE(r.ok()) << "an isolated chip must not ack a single-copy op";
+    done = true;
+    rig.cl->stop_keepalives();
+    rig.stop_all();
+  });
+  engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_GT(rig.stores[1]->stats().incrs, 0u) << "the incr must have reached chip 1";
+  EXPECT_EQ(rig.sum_stat(&tcstore::StoreStats::degraded_ops), 0u);
+}
+
 TEST(StoreTtl, LazyExpiryOnReadAndPeriodicSweep) {
   auto rig = make_store_rig();
   sim::Engine& engine = rig.cl->engine();
