@@ -8,10 +8,9 @@
 // it, and the example narrates what the serving layer did: placement,
 // replication traffic, and exact latency percentiles.
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "common/strings.hpp"
+#include "tcstore/serving.hpp"
 #include "tcsvc/load.hpp"
 
 using namespace tcc;
@@ -37,28 +36,13 @@ int main() {
               format_bytes(cl.plan().global_range().size).c_str());
 
   // Placement: consistent hashing (rendezvous) over the server set, so
-  // every server primaries some shards and backs up others.
-  tcsvc::KvConfig kv_cfg;
-  std::vector<int> servers;
-  for (int chip = 1; chip < n; ++chip) servers.push_back(chip);
-  auto map = tcsvc::ShardMap::from_plan(cl.plan(), servers, kv_cfg.shards);
-  std::printf("%s\n", map.describe().c_str());
-
-  // One RPC node per chip; a KV service on every server chip.
-  std::vector<int> all_chips;
-  for (int chip = 0; chip < n; ++chip) all_chips.push_back(chip);
-  std::vector<std::unique_ptr<tcsvc::RpcNode>> nodes;
-  std::vector<std::unique_ptr<tcsvc::KvService>> services;
-  for (int chip = 0; chip < n; ++chip) {
-    nodes.push_back(std::make_unique<tcsvc::RpcNode>(cl, chip));
-  }
-  for (int chip = 1; chip < n; ++chip) {
-    services.push_back(std::make_unique<tcsvc::KvService>(
-        cl, *nodes[static_cast<std::size_t>(chip)], map, kv_cfg));
-    services.back()->start();
-    nodes[static_cast<std::size_t>(chip)]->start(all_chips).expect("rpc start");
-  }
-  tcsvc::KvClient client(cl, *nodes[0], map, kv_cfg);
+  // every server primaries some shards and backs up others. The serving
+  // tier puts an RPC node on every chip and a KV service on every server.
+  tcstore::ServingSpec spec;
+  for (int chip = 1; chip < n; ++chip) spec.servers.push_back(chip);
+  tcstore::ServingCluster tier(cl, spec);
+  std::printf("%s\n", tier.map().describe().c_str());
+  tcsvc::KvClient client(cl, *tier.node(0), tier.map(), spec.kv);
 
   // Mixed workload: 80% reads, Zipfian hot keys, open-loop Poisson
   // arrivals — queueing shows up as latency, never as throttled offering.
@@ -72,7 +56,7 @@ int main() {
   cl.engine().spawn_fn([&]() -> sim::Task<void> {
     (co_await gen.prefill()).expect("prefill");
     co_await gen.run();
-    for (auto& node : nodes) node->stop();
+    tier.stop();
   });
   cl.engine().run();
 
@@ -94,8 +78,7 @@ int main() {
   std::printf("per-server traffic (every write lands on two chips):\n");
   std::uint64_t repl_out = 0;
   for (int chip = 1; chip < n; ++chip) {
-    const tcsvc::KvStats& s =
-        services[static_cast<std::size_t>(chip - 1)]->stats();
+    const tcsvc::KvStats& s = tier.kv(chip)->stats();
     std::printf("  chip %d: %5llu gets  %5llu puts  %5llu repl-in  %5llu repl-out\n",
                 chip, static_cast<unsigned long long>(s.gets),
                 static_cast<unsigned long long>(s.puts),

@@ -111,7 +111,8 @@ struct StoreStats {
 /// One node's store service: registers the kStoreOp/kStoreReplicateOp/
 /// kStoreScan handlers over the same RpcNode as the KvService it wraps, and
 /// implements ShardAuxStreamer so its idempotency records migrate with the
-/// shards they guard (wire via MembershipAgent::attach_aux).
+/// shards they guard (ServingCluster attaches it with
+/// MembershipAgent::attach_aux).
 class StoreService : public tcsvc::ShardAuxStreamer {
  public:
   StoreService(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,

@@ -177,11 +177,6 @@ void MembershipAgent::attach_service(KvService* svc) {
   if (svc_ != nullptr) svc_->set_membership(this);
 }
 
-void MembershipAgent::attach_client(ShardClient* client) {
-  client_ = client;
-  if (client_ != nullptr) client_->set_membership(this);
-}
-
 const std::vector<int>& MembershipAgent::forward_targets(int shard) const {
   static const std::vector<int> kNone;
   const auto it = forwards_.find(shard);

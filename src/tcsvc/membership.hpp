@@ -138,10 +138,10 @@ class MembershipAgent {
   /// Register the kMemPrepare/kMemMigrate/kMemChunk/kMemCommit handlers.
   void start();
 
-  /// Bind the co-located service/client: they start routing by this agent's
-  /// map, and the service dual-writes through forward_targets().
+  /// Bind the co-located service: it starts routing by this agent's map and
+  /// dual-writes through forward_targets(). (Clients attach themselves with
+  /// ShardClient::set_membership.)
   void attach_service(KvService* svc);
-  void attach_client(ShardClient* client);
   /// Attach a per-shard aux-state streamer (tcstore dedup records): its blobs
   /// ride the migration stream after the entry chunks, and it is reset on the
   /// same edges the KV copy is (incoming prepare, post-commit disown).
@@ -194,7 +194,6 @@ class MembershipAgent {
   std::vector<ShardMove> moves_;        ///< the in-flight rebalance's moves
   std::map<int, std::vector<int>> forwards_;  ///< shard -> dual-write targets
   KvService* svc_ = nullptr;
-  ShardClient* client_ = nullptr;
   ShardAuxStreamer* aux_ = nullptr;
   MembershipStats stats_;
 };
