@@ -197,6 +197,19 @@ inline std::unique_ptr<cluster::TcCluster> make_cable(
   return std::move(c).value();
 }
 
+/// A booted n-chip ring of single-chip nodes with 64 MiB per chip — the ring
+/// the serving-tier benches (kv_serving, store_ops) stand their tier up on.
+inline std::unique_ptr<cluster::TcCluster> make_serving_ring(int n) {
+  cluster::TcCluster::Options o;
+  o.topology.shape = topology::ClusterShape::kRing;
+  o.topology.nx = n;
+  o.topology.dram_per_chip = 64_MiB;
+  o.boot.model_code_fetch = false;  // benches do not need boot timing
+  auto c = cluster::TcCluster::create(o);
+  c.value()->boot().expect("boot");
+  return std::move(c).value();
+}
+
 /// A booted nx x ny x nz 3-D torus of k-chip Supernodes. Rigs of 16+
 /// Supernodes take the staged bring-up path automatically (plan check,
 /// per-plane link training, membership epoch). dram_per_chip must hold the
