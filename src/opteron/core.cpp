@@ -78,6 +78,15 @@ sim::Task<Result<std::vector<std::uint8_t>>> Core::load(PhysAddr addr,
   co_return make_error(ErrorCode::kInvalidArgument, "unknown memory type");
 }
 
+bool Core::reads_local_dram(PhysAddr addr) const {
+  return mtrr_.type_of(addr) != MemType::kWriteBack && nb_.reads_local_dram(addr);
+}
+
+void Core::charge_elided_loads(std::uint64_t n) {
+  loads_ += n;
+  nb_.charge_local_reads(n);
+}
+
 sim::Task<Result<std::uint64_t>> Core::load_u64(PhysAddr addr) {
   auto r = co_await load(addr, 8);
   if (!r.ok()) co_return r.error();

@@ -62,6 +62,20 @@ class Core {
 
   [[nodiscard]] sim::Task<Result<std::uint64_t>> load_u64(PhysAddr addr);
 
+  /// Issue-to-sample latency of a load that reads_local_dram(): the DRAM
+  /// word is sampled this long after the load instruction issues.
+  static constexpr Picoseconds kLocalDramLoad = kLoadIssue + kNbLookup + kMemReadLatency;
+
+  /// True if a load of `addr` is uncached and served by this node's memory
+  /// controller. Such a load is a pure kLocalDramLoad delay followed by a
+  /// sample of the word — no queue or unit is occupied on the way — so a
+  /// poll loop on it can be replayed analytically (tcmsg poll elision).
+  [[nodiscard]] bool reads_local_dram(PhysAddr addr) const;
+
+  /// Account `n` such loads that were replayed rather than simulated: the
+  /// core, northbridge and memory-controller counters see them as issued.
+  void charge_elided_loads(std::uint64_t n);
+
   /// Load an arbitrary buffer (sequence of 8-byte loads).
   [[nodiscard]] sim::Task<Status> load_bytes(PhysAddr addr, std::span<std::uint8_t> out);
 

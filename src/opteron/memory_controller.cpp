@@ -1,11 +1,53 @@
 #include "opteron/memory_controller.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace tcc::opteron {
+
+void WriteWatch::arm(MemoryController& mc, PhysAddr addr, std::uint64_t bytes) {
+  disarm();
+  mc_ = &mc;
+  lo_ = addr.value();
+  hi_ = addr.value() + bytes;
+  mc.watches_.push_back(this);
+}
+
+void WriteWatch::disarm() {
+  if (mc_ == nullptr) return;
+  auto& list = mc_->watches_;
+  const auto it = std::find(list.begin(), list.end(), this);
+  if (mc_->notifying_) {
+    *it = nullptr;
+  } else {
+    list.erase(it);
+  }
+  mc_ = nullptr;
+}
+
+MemoryController::~MemoryController() {
+  // A receiver coroutine parked on a watch may outlive its controller (the
+  // engine destroys suspended frames last); leave it nothing to unlink.
+  for (WriteWatch* w : watches_) {
+    if (w != nullptr) w->mc_ = nullptr;
+  }
+}
+
+void MemoryController::notify_watches(std::uint64_t lo, std::uint64_t hi) {
+  // Watches armed by a callback wait for the next write; disarmed ones
+  // become null slots so the indices stay valid.
+  notifying_ = true;
+  const std::size_t n = watches_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    WriteWatch* w = watches_[i];
+    if (w != nullptr && w->lo_ < hi && lo < w->hi_) w->on_write();
+  }
+  notifying_ = false;
+  std::erase(watches_, nullptr);
+}
 
 void MemoryController::post_write(PhysAddr addr, std::span<const std::uint8_t> data) {
   TCC_ASSERT(range_.contains(addr), "MC write outside its DRAM range");
@@ -36,6 +78,7 @@ void MemoryController::write_raw(PhysAddr addr, std::span<const std::uint8_t> da
     std::memcpy(page_for(page_index).data() + in_page, data.data() + done, chunk);
     done += chunk;
   }
+  if (!watches_.empty()) notify_watches(addr.value(), addr.value() + data.size());
 }
 
 void MemoryController::read_raw(PhysAddr addr, std::span<std::uint8_t> out) const {

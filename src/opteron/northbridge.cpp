@@ -1,5 +1,6 @@
 #include "opteron/northbridge.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.hpp"
@@ -27,6 +28,12 @@ struct NbMetrics {
       telemetry::MetricsRegistry::global().counter("opteron.nb.requests_sunk");
   telemetry::Counter& adaptive_escapes = telemetry::MetricsRegistry::global().counter(
       "opteron.nb.adaptive_escapes");
+
+  NbMetrics() {
+    // A replayed poll's local DRAM read counts as one lookup and one hit.
+    route_lookups.set_deferred(&ElidedLoads::pending_lookups);
+    dram_hits.set_deferred(&ElidedLoads::pending_lookups);
+  }
 };
 
 NbMetrics& nb_metrics() {
@@ -36,6 +43,25 @@ NbMetrics& nb_metrics() {
 
 }  // namespace
 #endif  // TCC_TELEMETRY_ENABLED
+
+namespace {
+
+std::vector<const ElidedLoads*>& elided_sources() {
+  static std::vector<const ElidedLoads*> sources;
+  return sources;
+}
+
+}  // namespace
+
+ElidedLoads::ElidedLoads() { elided_sources().push_back(this); }
+
+ElidedLoads::~ElidedLoads() { std::erase(elided_sources(), this); }
+
+std::uint64_t ElidedLoads::pending_lookups() {
+  std::uint64_t n = 0;
+  for (const ElidedLoads* s : elided_sources()) n += s->lookups_due();
+  return n;
+}
 
 Northbridge::Northbridge(sim::Engine& engine, std::string name, MemoryController& mc,
                          int outbound_depth)
@@ -68,13 +94,8 @@ Northbridge::Route Northbridge::route_request(PhysAddr addr) const {
   // Stage 1: DRAM base/limit -> home NodeID (§IV.C).
   if (const DramRangeReg* d = regs_.dram_lookup(addr)) {
     TCC_METRIC(nb_metrics().dram_hits.inc());
-    if (d->dst_node == regs_.node_id) {
-      return Route{Route::Kind::kLocalMemory, -1, true};
-    }
+    if (is_local(*d)) return Route{Route::Kind::kLocalMemory, -1, true};
     const RouteReg& r = regs_.routes.at(static_cast<std::size_t>(d->dst_node));
-    if (r.request_link == RouteReg::kSelf) {
-      return Route{Route::Kind::kLocalMemory, -1, true};
-    }
     return Route{Route::Kind::kLink, r.request_link, true};
   }
   // Stage 2: MMIO base/limit -> egress link directly.
@@ -83,6 +104,23 @@ Northbridge::Route Northbridge::route_request(PhysAddr addr) const {
     return Route{Route::Kind::kLink, m->dst_link, m->non_posted_allowed};
   }
   return Route{Route::Kind::kMasterAbort, -1, false};
+}
+
+bool Northbridge::is_local(const DramRangeReg& d) const {
+  return d.dst_node == regs_.node_id ||
+         regs_.routes.at(static_cast<std::size_t>(d.dst_node)).request_link ==
+             RouteReg::kSelf;
+}
+
+bool Northbridge::reads_local_dram(PhysAddr addr) const {
+  const DramRangeReg* d = regs_.dram_lookup(addr);
+  return d != nullptr && is_local(*d);
+}
+
+void Northbridge::charge_local_reads(std::uint64_t n) {
+  TCC_METRIC(nb_metrics().route_lookups.inc(n));
+  TCC_METRIC(nb_metrics().dram_hits.inc(n));
+  mc_.charge_reads(n);
 }
 
 sim::Task<Status> Northbridge::core_posted_write(ht::Packet packet) {

@@ -36,6 +36,27 @@ struct Ingress {
   int link = -1;  ///< valid when kind == kLink
 };
 
+/// Loads that a poll loop replays instead of simulating (Core::
+/// reads_local_dram) are charged in bulk when the loop resumes. Until then
+/// the replaying side stays registered here and reports how many of its
+/// loads have reached the northbridge by the current simulated time, so the
+/// northbridge counters read mid-wait (a benchmark window opening or
+/// closing) equal a literal loop's.
+class ElidedLoads {
+ public:
+  ElidedLoads(const ElidedLoads&) = delete;
+  ElidedLoads& operator=(const ElidedLoads&) = delete;
+
+  /// Uncharged northbridge lookups over every registered source.
+  [[nodiscard]] static std::uint64_t pending_lookups();
+
+ protected:
+  ElidedLoads();
+  ~ElidedLoads();
+  /// Replayed loads whose northbridge lookup is due by now, not yet charged.
+  [[nodiscard]] virtual std::uint64_t lookups_due() const = 0;
+};
+
 class Northbridge {
  public:
   /// `outbound_depth` is the per-link outbound request queue depth; Fig. 6's
@@ -68,6 +89,14 @@ class Northbridge {
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> core_read(
       PhysAddr addr, std::uint32_t size);
 
+  /// True if a core read of `addr` is served by this node's own memory
+  /// controller — a pure kNbLookup + kMemReadLatency delay with no queueing.
+  [[nodiscard]] bool reads_local_dram(PhysAddr addr) const;
+
+  /// Account `n` local DRAM reads (route lookup, DRAM hit, MC read) whose
+  /// timing a caller reproduced without simulating them (poll elision).
+  void charge_local_reads(std::uint64_t n);
+
   /// Suspend until every outbound queue this core filled has drained into
   /// the link TX FIFOs. Part of the Sfence contract.
   [[nodiscard]] sim::Task<void> drain_outbound();
@@ -91,6 +120,7 @@ class Northbridge {
     bool non_posted_allowed = true;
   };
   [[nodiscard]] Route route_request(PhysAddr addr) const;
+  [[nodiscard]] bool is_local(const DramRangeReg& d) const;
 
   /// Per-link ingress process: pulls packets delivered by the endpoint sink.
   sim::Task<void> ingress_process(int link_index);

@@ -41,6 +41,7 @@ Status TcCluster::boot() {
   for (int c = 0; c < machine_->num_chips(); ++c) {
     auto driver = std::make_unique<TcDriver>(*machine_, c);
     driver->set_shared_bytes(options_.shared_bytes);
+    driver->set_poll_model(options_.poll_model);
     if (Status s = driver->load(); !s.ok()) return s;
     libraries_.push_back(
         std::make_unique<MsgLibrary>(*driver, machine_->chip(c).core(0)));

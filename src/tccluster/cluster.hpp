@@ -49,6 +49,9 @@ class TcCluster {
     /// determinism suite (diff timelines against the calendar queue) and
     /// for honest before/after benchmarking; leave at kCalendar otherwise.
     sim::Scheduler scheduler = sim::Scheduler::kCalendar;
+    /// Receive-poll model. kLiteral exists for the determinism suite (diff
+    /// timelines against the elided default); leave at kElided otherwise.
+    PollModel poll_model = PollModel::kElided;
   };
 
   /// Plan + assemble the machine (powered off). Fails on impossible

@@ -51,6 +51,14 @@ inline constexpr std::uint64_t kRelEpochOffset = 24;
 inline constexpr int kNumChannels = 3;
 enum class RingChannel : int { kApp = 0, kPgasRequest = 1, kPgasResponse = 2 };
 
+/// How a receiver waiting on an empty ring is simulated. Both models give
+/// the same timeline and the same modelled counters; they differ only in
+/// host cost (docs/SIMULATOR.md, "Poll elision").
+enum class PollModel : std::uint8_t {
+  kElided,   ///< park on a DRAM write-watch and replay the poll schedule
+  kLiteral,  ///< simulate every marker load (the determinism suite's oracle)
+};
+
 /// A write-only user-space view of remote memory.
 class RemoteWindow {
  public:
@@ -112,6 +120,10 @@ class TcDriver {
   /// Bytes of shared region per node (configurable before load()).
   void set_shared_bytes(std::uint64_t bytes) { shared_bytes_ = bytes; }
   [[nodiscard]] std::uint64_t shared_bytes() const { return shared_bytes_; }
+
+  /// Receive-poll model of every message endpoint on this node.
+  void set_poll_model(PollModel model) { poll_model_ = model; }
+  [[nodiscard]] PollModel poll_model() const { return poll_model_; }
 
   // ---- mappings --------------------------------------------------------------
 
@@ -191,6 +203,7 @@ class TcDriver {
   firmware::Machine& machine_;
   int chip_;
   std::uint64_t shared_bytes_ = 4_MiB;
+  PollModel poll_model_ = PollModel::kElided;
   bool loaded_ = false;
   std::vector<std::string> probe_log_;
 

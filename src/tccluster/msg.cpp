@@ -1,6 +1,7 @@
 #include "tccluster/msg.hpp"
 
 #include <algorithm>
+#include <coroutine>
 #include <cstring>
 
 #include "ht/crc.hpp"
@@ -232,6 +233,180 @@ inline void advance_seq(std::uint64_t& seq) {
 inline bool marker_matches(std::uint64_t marker, std::uint64_t seq) {
   return (marker & MsgSlot::kSeqMask) == (seq & MsgSlot::kSeqMask);
 }
+
+/// The receive loop's poll cadence: kPollSpinPolls flat-out misses, then
+/// exponential backoff from kPollBackoffStart to kPollBackoffMax, clipped at
+/// the deadline. The literal loop and MarkerWait's replay both step it.
+struct PollCadence {
+  int misses = 0;
+  bool backoff_entered = false;
+  Picoseconds backoff = kPollBackoffStart;
+
+  /// Gap from a miss sampled at `now` to the next load issue. Charges the
+  /// backoff counters to `stats` (and the registry); nullptr looks ahead
+  /// without charging.
+  Picoseconds after_miss(Picoseconds now, std::optional<Picoseconds> deadline,
+                         MsgStats* stats) {
+    if (++misses <= kPollSpinPolls) return opteron::kPollLoopOverhead;
+    Picoseconds sleep = backoff;
+    if (deadline.has_value() && *deadline - now < sleep) sleep = *deadline - now;
+    backoff = std::min(backoff * 2, kPollBackoffMax);
+    const bool entering = !backoff_entered;
+    backoff_entered = true;
+    if (stats != nullptr) {
+      if (entering) TCC_METRIC(msg_metrics().backoff_entries.inc());
+      ++stats->backoff_sleeps;
+      TCC_METRIC(msg_metrics().backoff_sleeps.inc());
+      TCC_METRIC(msg_metrics().backoff_sleep_ns.add(sleep.nanoseconds()));
+    }
+    return sleep;
+  }
+};
+
+/// A receiver parked on its ring's marker word instead of polling it (poll
+/// elision, docs/SIMULATOR.md). It owns the literal poll schedule from the
+/// load issued at `issue` on — each poll samples the word kLocalDramLoad
+/// after issue, then PollCadence gives the gap to the next — and resumes the
+/// waiter at the sample time of the poll that ends the wait: the first one
+/// sampling strictly after a write that made the marker match (a write
+/// landing on a sample's own tick is queued behind that read and missed),
+/// the timeout poll (the first sampling at or past the deadline), or with
+/// `stop_first` the first poll, whatever it reads. Without a deadline it
+/// parks with no timer at all. The polls before the last all miss; they are
+/// charged, not simulated. This is exact because such a load occupies
+/// nothing (Core::reads_local_dram): its only observable is the value it
+/// samples.
+class MarkerWait final : public opteron::WriteWatch, public opteron::ElidedLoads {
+ public:
+  MarkerWait(opteron::Core& core, PhysAddr addr, const std::uint64_t& seq,
+             std::optional<Picoseconds> deadline, PollCadence& cadence,
+             MsgStats& stats, Picoseconds issue, bool stop_first)
+      : core_(core),
+        engine_(core.engine()),
+        addr_(addr),
+        seq_(seq),
+        deadline_(deadline),
+        cadence_(cadence),
+        stats_(stats),
+        issue_(issue),
+        stop_first_(stop_first) {}
+
+  // A frame destroyed while parked (engine teardown) may outlive the core;
+  // only the engine is touched here.
+  ~MarkerWait() { (void)engine_.cancel(timer_); }
+
+  bool await_ready() const noexcept { return false; }
+
+  void await_suspend(std::coroutine_handle<> h) {
+    waiter_ = h;
+    arm(core_.northbridge().mc(), addr_, 8);
+    if (stop_first_) {
+      stage(sample_of(issue_));
+    } else if (deadline_.has_value()) {
+      target_ = first_sample([&](Picoseconds s) { return s >= *deadline_; });
+      timer_ = engine_.schedule_timer_at(target_ - opteron::kMemReadLatency,
+                                         [this] { after_read_issue(); });
+    }
+    on_write();  // the marker may have landed while the caller was busy
+  }
+
+  /// Runs at the sample time of the poll that ends the wait: charges every
+  /// replayed load and miss, then samples the word.
+  std::uint64_t await_resume() {
+    disarm();
+    std::uint64_t loads = 1;
+    for (Picoseconds s = sample_of(issue_); s < target_;
+         s = sample_of(s + cadence_.after_miss(s, deadline_, &stats_))) {
+      ++loads;
+    }
+    charged_ = true;
+    core_.charge_elided_loads(loads);
+    return word();
+  }
+
+ private:
+  static Picoseconds sample_of(Picoseconds issue) {
+    return issue + opteron::Core::kLocalDramLoad;
+  }
+
+  std::uint64_t word() const {
+    std::uint64_t v = 0;
+    core_.northbridge().mc().peek(addr_, {reinterpret_cast<std::uint8_t*>(&v), 8});
+    return v;
+  }
+
+  void on_write() override {
+    if (staged_ || !marker_matches(word(), seq_)) return;
+    const Picoseconds now = engine_.now();
+    const Picoseconds sample = first_sample([&](Picoseconds s) { return s > now; });
+    if (sample >= target_) return;  // the timeout poll is already booked
+    (void)engine_.cancel(timer_);
+    stage(sample);
+  }
+
+  /// Book the resume at `sample` through the literal load's last two hops:
+  /// an event at its northbridge lookup queues one at its DRAM read issue
+  /// (sample - kMemReadLatency), which queues the resume. Each is then
+  /// queued on the tick the literal load queues it, so the resume keeps its
+  /// place among the sample tick's events. Hops already past are skipped.
+  /// (The timeout poll's timer starts at the read issue: one hop fewer on
+  /// the most frequent wait, with no figure changed.)
+  void stage(Picoseconds sample) {
+    staged_ = true;
+    target_ = sample;
+    const Picoseconds now = engine_.now();
+    if (lookup_of(sample) >= now) {
+      engine_.schedule_at(lookup_of(sample), [this] { after_lookup(); });
+    } else if (sample - opteron::kMemReadLatency >= now) {
+      engine_.schedule_at(sample - opteron::kMemReadLatency, [this] { after_read_issue(); });
+    } else {
+      engine_.schedule_resume(sample - now, waiter_);
+    }
+  }
+
+  static Picoseconds lookup_of(Picoseconds sample) {
+    return sample - opteron::kMemReadLatency - opteron::kNbLookup;
+  }
+  void after_lookup() { engine_.schedule(opteron::kNbLookup, [this] { after_read_issue(); }); }
+  void after_read_issue() { engine_.schedule_resume(opteron::kMemReadLatency, waiter_); }
+
+  /// Sample time of the first scheduled poll satisfying `stop`.
+  template <typename Stop>
+  Picoseconds first_sample(Stop stop) const {
+    PollCadence c = cadence_;
+    Picoseconds s = sample_of(issue_);
+    while (!stop(s)) s = sample_of(s + c.after_miss(s, deadline_, nullptr));
+    return s;
+  }
+
+  std::uint64_t lookups_due() const override {
+    if (charged_) return 0;
+    const Picoseconds now = engine_.now();
+    PollCadence c = cadence_;
+    std::uint64_t n = 0;
+    for (Picoseconds s = sample_of(issue_); s - opteron::kMemReadLatency < now;
+         s = sample_of(s + c.after_miss(s, deadline_, nullptr))) {
+      ++n;
+      if (s >= target_) break;
+    }
+    return n;
+  }
+
+  opteron::Core& core_;
+  sim::Engine& engine_;
+  PhysAddr addr_;
+  const std::uint64_t& seq_;
+  std::optional<Picoseconds> deadline_;
+  PollCadence& cadence_;
+  MsgStats& stats_;
+  Picoseconds issue_;
+  bool stop_first_;
+  Picoseconds target_ = Picoseconds::max();
+  bool staged_ = false;
+  bool charged_ = false;
+  sim::TimerHandle timer_;
+  std::coroutine_handle<> waiter_;
+};
 
 }  // namespace
 
@@ -561,18 +736,29 @@ sim::Task<Result<std::uint32_t>> MsgEndpoint::recv_impl(
   const PhysAddr header_addr = rx_slot_addr(recv_slots_);
   // Poll the marker word in uncacheable local memory (§VI receive path).
   // Spin flat-out for the first kPollSpinPolls misses, then back off
-  // exponentially: an idle ring stops costing a 60 ns UC load every ~70 ns,
-  // at a detection-delay price capped at kPollBackoffMax.
+  // exponentially (PollCadence). After the first miss an elided receiver
+  // parks on a write-watch instead of simulating each load; MarkerWait
+  // replays this same schedule, so both models sample at the same times.
+  const bool elide = driver_.poll_model() == PollModel::kElided &&
+                     core_.reads_local_dram(header_addr);
+  PollCadence cadence;
   bool first_miss = true;
-  int misses = 0;
-  bool backoff_entered = false;
-  Picoseconds backoff = kPollBackoffStart;
+  Picoseconds issue = core_.engine().now();
   std::uint32_t marker_tag = 0;
   for (;;) {
-    auto marker = co_await core_.load_u64(header_addr);
-    if (!marker.ok()) co_return marker.error();
-    if (marker_matches(marker.value(), recv_seq_)) {
-      marker_tag = static_cast<std::uint32_t>(marker.value() >> 32);
+    std::uint64_t word = 0;
+    if (elide) {
+      // A first miss with acks to push acts at its own sample time.
+      MarkerWait wait(core_, header_addr, recv_seq_, deadline, cadence, stats_, issue,
+                      first_miss && recv_slots_ != acked_out_);
+      word = co_await wait;
+    } else {
+      auto marker = co_await core_.load_u64(header_addr);
+      if (!marker.ok()) co_return marker.error();
+      word = marker.value();
+    }
+    if (marker_matches(word, recv_seq_)) {
+      marker_tag = static_cast<std::uint32_t>(word >> 32);
       break;
     }
     const Picoseconds now = core_.engine().now();
@@ -590,21 +776,12 @@ sim::Task<Result<std::uint32_t>> MsgEndpoint::recv_impl(
       first_miss = false;
       if (Status s = co_await flush_acks(); !s.ok()) co_return s.error();
     }
-    if (++misses <= kPollSpinPolls) {
-      co_await core_.compute(opteron::kPollLoopOverhead);
-      continue;
+    const Picoseconds gap = cadence.after_miss(now, deadline, &stats_);
+    if (elide) {
+      issue = core_.engine().now() + gap;
+    } else {
+      co_await core_.compute(gap);
     }
-    if (!backoff_entered) {
-      backoff_entered = true;
-      TCC_METRIC(msg_metrics().backoff_entries.inc());
-    }
-    Picoseconds sleep = backoff;
-    if (deadline.has_value() && *deadline - now < sleep) sleep = *deadline - now;
-    ++stats_.backoff_sleeps;
-    TCC_METRIC(msg_metrics().backoff_sleeps.inc());
-    TCC_METRIC(msg_metrics().backoff_sleep_ns.add(sleep.nanoseconds()));
-    co_await core_.compute(sleep);
-    backoff = std::min(backoff * 2, kPollBackoffMax);
   }
 
   // The first marker is an invitation, not a commit (see MsgSlot): validate

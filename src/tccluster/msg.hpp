@@ -139,14 +139,14 @@ inline constexpr std::uint64_t kAckThreshold = 16;
 /// sync) before the sender's ACK-stall strikes would.
 inline constexpr Picoseconds kSlotSettle = Picoseconds::from_us(20.0);
 
-/// Adaptive receiver polling. A marker poll is a ~60 ns uncacheable load; a
-/// receiver camped on an idle ring burns memory bandwidth for nothing. The
+/// Adaptive receiver polling. A marker poll is a ~60 ns uncacheable load. The
 /// receive loop spins flat-out for kPollSpinPolls misses (a message already
 /// in flight is detected at full speed), then backs off exponentially from
 /// kPollBackoffStart to kPollBackoffMax between loads. The cap is kept well
 /// under a round-trip so the first message after an idle stretch pays at
-/// most a few hundred ns of detection delay while the idle ring costs ~6x
-/// fewer UC reads.
+/// most a few hundred ns of detection delay. The cadence shapes only that
+/// modelled delay: the simulator elides the loads of a wait on an empty
+/// ring whatever their spacing (docs/SIMULATOR.md, "Poll elision").
 inline constexpr int kPollSpinPolls = 32;
 inline constexpr Picoseconds kPollBackoffStart = Picoseconds::from_ns(50.0);
 inline constexpr Picoseconds kPollBackoffMax = Picoseconds::from_ns(400.0);

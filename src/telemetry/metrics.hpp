@@ -48,13 +48,20 @@ class Counter {
  public:
   explicit Counter(std::string name) : name_(std::move(name)) {}
   void inc(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
+  /// Includes increments a model has deferred: `deferred` reports events
+  /// that already happened in simulated time but are charged in bulk later
+  /// (poll elision, opteron::ElidedLoads), so a read never lags the model.
+  [[nodiscard]] std::uint64_t value() const {
+    return value_ + (deferred_ != nullptr ? deferred_() : 0);
+  }
+  void set_deferred(std::uint64_t (*deferred)()) { deferred_ = deferred; }
   [[nodiscard]] const std::string& name() const { return name_; }
   void reset() { value_ = 0; }
 
  private:
   std::string name_;
   std::uint64_t value_ = 0;
+  std::uint64_t (*deferred_)() = nullptr;
 };
 
 /// Point-in-time (or cumulative-sum) double value.

@@ -7,15 +7,29 @@
 
 #include "common/rng.hpp"
 #include "middleware/mpi.hpp"
+#include "tcstore/serving.hpp"
+#include "tcsvc/kv.hpp"
 
 namespace tcc::cluster {
 namespace {
 
+/// Per chip: core loads and DRAM reads — modelled counters a poll model
+/// must leave exactly as a literal poll loop charges them.
+void append_load_counters(TcCluster& cl, std::vector<std::uint64_t>& fingerprint) {
+  for (int c = 0; c < cl.num_nodes(); ++c) {
+    fingerprint.push_back(cl.core(c).loads());
+    fingerprint.push_back(cl.machine().chip(c).nb().mc().reads());
+  }
+}
+
 /// Boot a cable cluster, run a mixed workload, and fingerprint the timeline.
+/// The last entry is the engine's event count.
 std::vector<std::uint64_t> run_workload_fingerprint(
-    sim::Scheduler scheduler = sim::Scheduler::kCalendar) {
+    sim::Scheduler scheduler = sim::Scheduler::kCalendar,
+    PollModel poll_model = PollModel::kElided) {
   TcCluster::Options o;
   o.scheduler = scheduler;
+  o.poll_model = poll_model;
   o.topology.shape = topology::ClusterShape::kCable;
   o.topology.dram_per_chip = 32_MiB;
   auto created = TcCluster::create(o);
@@ -33,6 +47,9 @@ std::vector<std::uint64_t> run_workload_fingerprint(
       for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
       (co_await tx->send(payload)).expect("send");
       fingerprint.push_back(static_cast<std::uint64_t>(cl.engine().now().count()));
+      // Idle stretches long enough for the receiver to drain its backlog
+      // and run past its spin budget, so its poll backoff engages too.
+      if (i % 8 == 7) co_await cl.engine().delay(Picoseconds::from_ns(40000.0 + 70.0 * i));
     }
   });
   cl.engine().spawn_fn([&]() -> sim::Task<void> {
@@ -45,6 +62,8 @@ std::vector<std::uint64_t> run_workload_fingerprint(
   });
   cl.engine().run();
   fingerprint.push_back(static_cast<std::uint64_t>(cl.engine().now().count()));
+  fingerprint.push_back(rx->stats().backoff_sleeps);
+  append_load_counters(cl, fingerprint);
   fingerprint.push_back(cl.engine().events_processed());
   return fingerprint;
 }
@@ -68,6 +87,129 @@ TEST(Determinism, CalendarMatchesHeapReferenceOnFullSystemRun) {
   cal.pop_back();
   heap.pop_back();
   EXPECT_EQ(cal, heap);
+}
+
+TEST(Determinism, ElidedPollsMatchLiteralPollsOnCable) {
+  // The raw receiver waits with no deadline, so an elided wait parks with
+  // no timer at all. Every timestamp, the final clock and the modelled load
+  // counters must equal the literal poll loop's; only the event count (what
+  // elision removes) may differ.
+  auto literal = run_workload_fingerprint(sim::Scheduler::kCalendar, PollModel::kLiteral);
+  auto elided = run_workload_fingerprint(sim::Scheduler::kCalendar, PollModel::kElided);
+  ASSERT_EQ(literal.size(), elided.size());
+  EXPECT_LT(elided.back(), literal.back());
+  literal.pop_back();
+  elided.pop_back();
+  EXPECT_EQ(literal, elided);
+}
+
+std::span<const std::uint8_t> word_bytes(const std::uint64_t& v) {
+  return {reinterpret_cast<const std::uint8_t*>(&v), 8};
+}
+
+/// Hand-posted zero-length messages whose marker lands 30 ns either side of
+/// a receiver's fourth marker sample, one ns apart: exactly one lands on the
+/// sample's own tick, which the literal read misses (it was queued 60 ns
+/// earlier, the write's visibility only 40 ns earlier). Fingerprints each
+/// receive's completion time.
+std::vector<std::uint64_t> run_tie_fingerprint(PollModel poll_model) {
+  TcCluster::Options o;
+  o.topology.shape = topology::ClusterShape::kCable;
+  o.topology.dram_per_chip = 32_MiB;
+  o.poll_model = poll_model;
+  auto created = TcCluster::create(o);
+  created.expect("create");
+  auto& cl = *created.value();
+  cl.boot().expect("boot");
+  auto* rx = cl.msg(1).connect(0).value();
+  opteron::MemoryController& mc = cl.machine().chip(1).nb().mc();
+  const AddrRange ring = cl.driver(1).ring(1, 0);
+
+  std::vector<std::uint64_t> fingerprint;
+  cl.engine().spawn_fn([&]() -> sim::Task<void> {
+    for (int i = 0; i < 61; ++i) {
+      const PhysAddr slot = ring.base + kSlotBytes * static_cast<std::uint64_t>(1 + i);
+      const std::uint64_t len_crc = ~std::uint64_t{0} << 32;  // len 0, ~crc32c({})
+      mc.poke(slot + MsgSlot::kLenOffset, word_bytes(len_crc));
+      // Samples fall at entry + kLocalDramLoad + k * (kLocalDramLoad +
+      // kPollLoopOverhead); post so the write lands near k = 3.
+      const Picoseconds land = opteron::Core::kLocalDramLoad +
+                               (opteron::Core::kLocalDramLoad + opteron::kPollLoopOverhead) * 3 +
+                               Picoseconds::from_ns(static_cast<double>(i - 30));
+      const std::uint64_t marker = static_cast<std::uint64_t>(i + 1);
+      cl.engine().schedule(land - opteron::kMemWriteLatency,
+                           [&mc, slot, marker] { mc.post_write(slot, word_bytes(marker)); });
+      const Picoseconds entry = cl.engine().now();
+      (co_await rx->recv_discard()).expect("recv");
+      fingerprint.push_back(static_cast<std::uint64_t>((cl.engine().now() - entry).count()));
+      // Push the ack now, so the next receive's first miss has none to flush.
+      (co_await rx->flush_acks()).expect("flush");
+      co_await cl.engine().delay(Picoseconds::from_us(1.0));
+    }
+  });
+  cl.engine().run();
+  return fingerprint;
+}
+
+TEST(Determinism, ElidedPollsMatchLiteralPollsOnWriteSampleTies) {
+  const auto literal = run_tie_fingerprint(PollModel::kLiteral);
+  ASSERT_EQ(literal.size(), 61u);
+  EXPECT_EQ(literal, run_tie_fingerprint(PollModel::kElided));
+}
+
+/// Open-loop KV traffic on a 4-chip ring: every RPC pump is a tcrel
+/// receiver whose raw waits pass 500 ns progress-slice deadlines, with idle
+/// gaps long enough for the poll backoff to engage. Fingerprints each op's
+/// completion, the load counters and the final clock; the last entry is the
+/// event count.
+std::vector<std::uint64_t> run_kv_ring_fingerprint(PollModel poll_model) {
+  TcCluster::Options o;
+  o.topology.shape = topology::ClusterShape::kRing;
+  o.topology.nx = 4;
+  o.topology.dram_per_chip = 64_MiB;
+  o.boot.model_code_fetch = false;
+  o.poll_model = poll_model;
+  auto created = TcCluster::create(o);
+  created.expect("create");
+  auto& cl = *created.value();
+  cl.boot().expect("boot");
+  tcstore::ServingSpec spec;
+  spec.servers = {1, 2, 3};
+  tcstore::ServingCluster tier(cl, spec);
+  tcsvc::KvClient client(cl, *tier.node(0), tier.map());
+
+  std::vector<std::uint64_t> fingerprint;
+  cl.engine().spawn_fn([&]() -> sim::Task<void> {
+    Rng rng(99);
+    for (int i = 0; i < 60; ++i) {
+      const std::string key = "k" + std::to_string(rng.next_in(0, 15));
+      if (rng.next_in(0, 3) == 0) {
+        std::vector<std::uint8_t> value(rng.next_in(1, 200), static_cast<std::uint8_t>(i));
+        (co_await client.put(key, value)).expect("put");
+      } else {
+        auto r = co_await client.get(key);
+        if (!r.ok()) { EXPECT_EQ(r.error().code, ErrorCode::kNotFound); }
+      }
+      fingerprint.push_back(static_cast<std::uint64_t>(cl.engine().now().count()));
+      co_await cl.engine().delay(Picoseconds::from_ns(static_cast<double>(rng.next_in(0, 3000))));
+    }
+    tier.stop();
+  });
+  cl.engine().run();
+  fingerprint.push_back(static_cast<std::uint64_t>(cl.engine().now().count()));
+  append_load_counters(cl, fingerprint);
+  fingerprint.push_back(cl.engine().events_processed());
+  return fingerprint;
+}
+
+TEST(Determinism, ElidedPollsMatchLiteralPollsOnKvRing) {
+  auto literal = run_kv_ring_fingerprint(PollModel::kLiteral);
+  auto elided = run_kv_ring_fingerprint(PollModel::kElided);
+  ASSERT_EQ(literal.size(), elided.size());
+  EXPECT_LT(elided.back(), literal.back());
+  literal.pop_back();
+  elided.pop_back();
+  EXPECT_EQ(literal, elided);
 }
 
 /// Chaos-soak-shaped config: keepalives beating, scripted link-down +

@@ -249,5 +249,73 @@ TEST(MemoryController, PostedWriteBecomesVisibleAfterWriteLatency) {
   EXPECT_EQ(got[0], 42);
 }
 
+/// Records the simulated time of every notification; optionally disarms
+/// itself from inside the callback.
+struct RecordingWatch final : WriteWatch {
+  sim::Engine& engine;
+  bool disarm_on_fire = false;
+  std::vector<Picoseconds> fired;
+  explicit RecordingWatch(sim::Engine& e) : engine(e) {}
+  void on_write() override {
+    fired.push_back(engine.now());
+    if (disarm_on_fire) disarm();
+  }
+};
+
+TEST(MemoryController, WriteWatchFiresWhenAWriteBecomesVisible) {
+  sim::Engine e;
+  MemoryController mc(e, AddrRange{PhysAddr{0}, 1_MiB});
+  RecordingWatch w(e);
+  w.arm(mc, PhysAddr{0x108}, 8);
+  const std::uint8_t word[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  e.schedule(Picoseconds::from_ns(5.0), [&] { mc.post_write(PhysAddr{0x108}, word); });
+  e.run();
+  // Visibility, not acceptance: post time + kMemWriteLatency.
+  ASSERT_EQ(w.fired.size(), 1u);
+  EXPECT_EQ(w.fired[0], Picoseconds::from_ns(5.0) + kMemWriteLatency);
+}
+
+TEST(MemoryController, WriteWatchSeesOverlapsAndPokesButNotNeighbours) {
+  sim::Engine e;
+  MemoryController mc(e, AddrRange{PhysAddr{0}, 1_MiB});
+  RecordingWatch w(e);
+  w.arm(mc, PhysAddr{0x108}, 8);
+  const std::uint8_t line[64] = {};
+  const std::uint8_t word[8] = {};
+  const std::uint8_t half[4] = {};
+  mc.post_write(PhysAddr{0x100}, word);     // adjacent word below
+  mc.post_write(PhysAddr{0x110}, word);     // adjacent word above
+  e.run();
+  EXPECT_TRUE(w.fired.empty());
+  mc.post_write(PhysAddr{0x100}, line);     // full line containing the word
+  mc.post_write(PhysAddr{0x10c}, half);     // partial write into its top half
+  mc.post_write(PhysAddr{0x104}, word);     // straddles its low edge
+  e.run();
+  EXPECT_EQ(w.fired.size(), 3u);
+  mc.poke(PhysAddr{0x108}, half);           // zero-time pokes count too
+  EXPECT_EQ(w.fired.size(), 4u);
+  w.disarm();
+  mc.poke(PhysAddr{0x108}, word);
+  EXPECT_EQ(w.fired.size(), 4u);
+}
+
+TEST(MemoryController, WriteWatchMayDisarmInsideItsCallback) {
+  sim::Engine e;
+  MemoryController mc(e, AddrRange{PhysAddr{0}, 1_MiB});
+  RecordingWatch first(e), second(e);
+  first.disarm_on_fire = true;
+  first.arm(mc, PhysAddr{0x200}, 8);
+  second.arm(mc, PhysAddr{0x200}, 8);
+  const std::uint8_t word[8] = {9};
+  mc.poke(PhysAddr{0x200}, word);
+  // The self-disarm neither skips nor repeats the watch armed after it.
+  EXPECT_EQ(first.fired.size(), 1u);
+  EXPECT_EQ(second.fired.size(), 1u);
+  EXPECT_FALSE(first.armed());
+  mc.poke(PhysAddr{0x200}, word);
+  EXPECT_EQ(first.fired.size(), 1u);
+  EXPECT_EQ(second.fired.size(), 2u);
+}
+
 }  // namespace
 }  // namespace tcc::opteron
